@@ -6,7 +6,8 @@ metadata header (tool version plus a config echo); the body below it is
 byte-identical across runs on identical inputs.
 
 Exit codes: 0 success, 1 usage error, 2 unreadable or malformed input,
-3 infeasible configuration, 4 assertion or verification failure.
+3 infeasible configuration (including a spectral cut that does not
+converge), 4 assertion or verification failure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import __version__
 from .cost import BTC_USD_RATE, USD_PER_CHANNEL_OPEN, estimate_costs, price_plan
 from .inference import announced_policies, score_node, tag_nodes
 from .isolation import IsolationPlan, isolation_cost_curve, plan_isolation
-from .partition import DisconnectionMethod, plan_disconnection
+from .partition import DisconnectionMethod, NonConvergenceError, plan_disconnection
 from .planner import (
     AttackPlan,
     InfeasibleConfigError,
@@ -370,6 +371,11 @@ def cmd_verify_plan(args: argparse.Namespace) -> int:
         raise InputError(f"plan not found: {args.plan}")
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed plan JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise InputError("plan JSON must be an object")
+    # attack-node writes its plan under "plan", next to a summary.
+    if isinstance(doc.get("plan"), dict):
+        doc = doc["plan"]
     kind = doc.get("kind")
     if kind == "network-attack":
         plan = AttackPlan.from_json_dict(doc)
@@ -406,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"lnjam {__version__}")
     parser.add_argument("-v", "--verbose", action="count", default=0,
                         help="-v for info, -vv for debug logging")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved; all algorithms are deterministic")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("ingest", help="parse and normalize a snapshot")
@@ -502,7 +506,7 @@ def main(argv=None) -> int:
     except (InputError, OSError, SnapshotParseError, ScenarioParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (InfeasibleConfigError, MixedSlotClassError, ValueError) as exc:
+    except (InfeasibleConfigError, MixedSlotClassError, NonConvergenceError, ValueError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -11,10 +11,17 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .planner import AttackPlan, AttackRoute
-from .topology import MAINNET_DEFAULTS, MSAT_PER_SAT, DefaultsTable, ImplLabel, NetworkGraph
+from .topology import (
+    MAINNET_DEFAULTS,
+    MSAT_PER_SAT,
+    ChannelPolicy,
+    DefaultsTable,
+    ImplLabel,
+    NetworkGraph,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -77,9 +84,20 @@ class CostReport:
         }
 
 
-def _hop_fee(policy, amount_msat: int) -> int:
-    proportional = -(-amount_msat * policy.fee_proportional_millionths // 1_000_000)
-    return policy.fee_base_msat + proportional
+def route_amounts(
+    policies: Sequence[ChannelPolicy | None], delivered_msat: int
+) -> list[int]:
+    """Per-hop HTLC amounts for a delivered amount, fees backward-accumulated.
+
+    ``policies`` govern the route's hops in order. Each hop carries the next
+    hop's amount plus the fee the next hop's policy charges; the first hop
+    leaves the sender, who charges itself nothing, so its policy never counts.
+    """
+    amounts = [delivered_msat]
+    for policy in reversed(policies[1:]):
+        amounts.append(amounts[-1] + policy.fee_msat(amounts[-1]))
+    amounts.reverse()
+    return amounts
 
 
 def hop_amounts_msat(
@@ -102,13 +120,9 @@ def hop_amounts_msat(
         graph.channel(h.channel_id).policy_from(h.from_node) for h in route.hops
     ]
     base = max(dust_floor, max(p.htlc_minimum_msat for p in policies))
-    amounts = [base]
-    # The attacker's exit hop charges nothing; each victim hop's amount is
-    # the downstream amount plus the downstream hop's forwarding fee.
-    for policy in reversed(policies):
-        amounts.append(amounts[-1] + _hop_fee(policy, amounts[-1]))
-    amounts.reverse()
-    return amounts
+    # None stands for the attacker's own entry hop. The exit hop charges
+    # nothing, so the last victim hop already carries the floor.
+    return route_amounts([None, *policies], base)
 
 
 def payment_amount_for_route(

@@ -10,8 +10,9 @@ between implementations; fee rates overlap more).
 from __future__ import annotations
 
 import logging
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .topology import (
     MAINNET_DEFAULTS,
@@ -122,24 +123,14 @@ def tag_nodes(
     return labels
 
 
-def split_by_slot_class(
-    graph: NetworkGraph, labels: Mapping[str, ImplLabel]
-) -> tuple[NetworkGraph, NetworkGraph]:
-    """Split channels into the 483-slot class and the 30-slot class.
+def split_by_slot_class(graph: NetworkGraph) -> list[NetworkGraph]:
+    """Split channels by their attached ``slot_limit``, largest class first.
 
-    A channel supports 483 concurrent HTLCs only when both endpoints run LND;
-    any other pairing is capped at 30 by the stricter side. Returns
-    (lnd_only_subgraph, mixed_subgraph); the two channel sets partition the
-    input graph.
+    Each returned subgraph holds every channel of one slot limit, so a
+    route planned inside it needs a single payment count; together they
+    partition the input graph.
     """
-    lnd_only = []
-    mixed = []
+    classes: dict[int, list[str]] = defaultdict(list)
     for ch in graph.channels():
-        if (
-            labels.get(ch.endpoint_a) is ImplLabel.LND
-            and labels.get(ch.endpoint_b) is ImplLabel.LND
-        ):
-            lnd_only.append(ch.channel_id)
-        else:
-            mixed.append(ch.channel_id)
-    return graph.subgraph(lnd_only), graph.subgraph(mixed)
+        classes[ch.slot_limit].append(ch.channel_id)
+    return [graph.subgraph(classes[limit]) for limit in sorted(classes, reverse=True)]

@@ -17,20 +17,19 @@ from typing import Iterable, Mapping, Sequence
 
 from .planner import MAX_ROUTE_HOPS
 from .topology import (
+    LOCKTIME_MAX,
     MAINNET_DEFAULTS,
     DefaultsTable,
     GraphChannel,
     ImplLabel,
     NetworkGraph,
-    apply_slot_limits,
+    channel_slot_limit,
 )
 
 logger = logging.getLogger(__name__)
 
 # The attacker is assumed to run LND, so its own channels accept 483 HTLCs.
 ATTACKER_SLOT_LIMIT = 483
-
-DEFAULT_LOCKTIME_MAX = 2016
 
 # Entry and exit hops bracket the traversals, under the 20-hop onion limit.
 MAX_TRAVERSALS = MAX_ROUTE_HOPS - 2
@@ -50,11 +49,6 @@ class BackForthRoute:
     traversals: int
     timeout_sum: int
     lock_duration: int
-    slots_on_attacker_channel: int = 2
-
-    @property
-    def total_hops(self) -> int:
-        return self.traversals + 2
 
     @property
     def ends_at_victim(self) -> bool:
@@ -170,19 +164,14 @@ def _alternating_timeout(d_first: int, d_second: int, traversals: int) -> int:
     return odd * d_first + even * d_second
 
 
-def max_traversals_for_deltas(
-    delta_victim: int,
-    delta_neighbor: int,
-    tau_min: int,
-    locktime_max: int = DEFAULT_LOCKTIME_MAX,
-) -> int:
+def max_traversals_for_deltas(delta_victim: int, delta_neighbor: int, tau_min: int) -> int:
     """Largest usable traversal count for the given per-direction deltas.
 
     Bounded by the 20-hop onion limit (18 traversals after entry and exit)
     and by the locktime budget: traversals alternate direction starting on
     the victim side, each charging that side's forwarding delta.
     """
-    budget = locktime_max - tau_min
+    budget = LOCKTIME_MAX - tau_min
     k = 0
     total = 0
     while k < MAX_TRAVERSALS:
@@ -194,30 +183,29 @@ def max_traversals_for_deltas(
     return k
 
 
-def max_traversals(
-    target: GraphChannel,
-    victim: str,
-    tau_min: int,
-    locktime_max: int = DEFAULT_LOCKTIME_MAX,
-) -> int:
+def max_traversals(target: GraphChannel, victim: str, tau_min: int) -> int:
     """Traversal bound for a concrete channel, entered on the victim side."""
     neighbor = target.other_endpoint(victim)
     return max_traversals_for_deltas(
-        target.delta_from(victim), target.delta_from(neighbor), tau_min, locktime_max
+        target.delta_from(victim), target.delta_from(neighbor), tau_min
     )
 
 
+def _payment_split(slots: int, k: int) -> tuple[list[int], int]:
+    """Traversal counts of the ⌈slots/k⌉ payments that fill ``slots`` slots
+    at up to ``k`` traversals each, and the attacker slots they take."""
+    n_payments = -(-slots // k)
+    residual = slots - (n_payments - 1) * k
+    # Two attacker-side slots per payment; an odd residual is realized as an
+    # even loop plus one pass-through hop, costing one extra entry slot.
+    return [k] * (n_payments - 1) + [residual], 2 * n_payments + residual % 2
+
+
 def _plan_channel(
-    target: GraphChannel,
-    victim: str,
-    tau_min: int,
-    locktime_max: int,
+    target: GraphChannel, victim: str, slots: int, tau_min: int
 ) -> ChannelIsolation:
     neighbor = target.other_endpoint(victim)
-    if target.slot_limit is None:
-        raise ValueError(f"channel {target.channel_id} has no slot limit")
-    slots = target.slot_limit
-    k = max_traversals(target, victim, tau_min, locktime_max)
+    k = max_traversals(target, victim, tau_min)
     if k == 0:
         logger.warning(
             "channel %s cannot be paralyzed at tau_min=%d", target.channel_id, tau_min
@@ -238,15 +226,11 @@ def _plan_channel(
         return BackForthRoute(
             traversals=traversals,
             timeout_sum=timeout,
-            lock_duration=locktime_max - timeout,
+            lock_duration=LOCKTIME_MAX - timeout,
         )
 
-    n_payments = -(-slots // k)
-    residual = slots - (n_payments - 1) * k
-    payments = tuple(route(k) for _ in range(n_payments - 1)) + (route(residual),)
-    # Two attacker-side slots per payment; an odd residual is realized as an
-    # even loop plus one pass-through hop, costing one extra entry slot.
-    attacker_slots = 2 * n_payments + (1 if residual % 2 == 1 else 0)
+    counts, attacker_slots = _payment_split(slots, k)
+    payments = tuple(route(t) for t in counts)
     return ChannelIsolation(
         channel_id=target.channel_id,
         neighbor=neighbor,
@@ -268,7 +252,6 @@ def plan_isolation(
     defaults: DefaultsTable = MAINNET_DEFAULTS,
     victim: str | None = None,
     tau_min: int = 432,
-    locktime_max: int = DEFAULT_LOCKTIME_MAX,
 ) -> IsolationPlan:
     """Plan the paralysis of every channel adjacent to ``victim``.
 
@@ -279,8 +262,8 @@ def plan_isolation(
     """
     if victim is None:
         raise ValueError("victim node id is required")
-    if not 0 < tau_min < locktime_max:
-        raise ValueError(f"tau_min must be in (0, {locktime_max}), got {tau_min}")
+    if not 0 < tau_min < LOCKTIME_MAX:
+        raise ValueError(f"tau_min must be in (0, {LOCKTIME_MAX}), got {tau_min}")
     if graph.degree(victim) == 0:
         found_anywhere = victim in labels
         if not found_anywhere:
@@ -293,14 +276,9 @@ def plan_isolation(
         )
     if victim not in labels:
         raise ValueError(f"victim {victim} has no implementation label")
-    graph = (
-        apply_slot_limits(graph, labels, defaults)
-        if any(graph.channel(cid).slot_limit is None for cid in graph.channels_of(victim))
-        else graph
-    )
     per_channel = [
-        _plan_channel(graph.channel(cid), victim, tau_min, locktime_max)
-        for cid in graph.channels_of(victim)
+        _plan_channel(ch, victim, channel_slot_limit(ch, labels, defaults), tau_min)
+        for ch in map(graph.channel, graph.channels_of(victim))
     ]
     plan = IsolationPlan(
         victim=victim,
@@ -318,27 +296,11 @@ def plan_isolation(
     return plan
 
 
-def isolate_all(
-    graph: NetworkGraph,
-    labels: Mapping[str, ImplLabel],
-    defaults: DefaultsTable = MAINNET_DEFAULTS,
-    tau_min: int = 432,
-) -> list[tuple[str, int, int]]:
-    """Isolation cost for every node: (node_id, degree, attacker channels)."""
-    graph = apply_slot_limits(graph, labels, defaults)
-    rows = []
-    for node in graph.nodes:
-        plan = plan_isolation(graph, labels, defaults, victim=node, tau_min=tau_min)
-        rows.append((node, graph.degree(node), plan.attacker_channels_needed))
-    return rows
-
-
 def isolation_cost_curve(
     implementation: ImplLabel,
     degree_range: Sequence[int] | Iterable[int],
     tau_min: int = 432,
     defaults: DefaultsTable = MAINNET_DEFAULTS,
-    locktime_max: int = DEFAULT_LOCKTIME_MAX,
 ) -> list[tuple[int, int]]:
     """Attacker channels needed per victim degree, all nodes at one
     implementation's defaults.
@@ -349,9 +311,8 @@ def isolation_cost_curve(
     """
     d = defaults.for_label(implementation)
     slots = d.max_concurrent_htlcs
-    k = max_traversals_for_deltas(
-        d.cltv_expiry_delta, d.cltv_expiry_delta, tau_min, locktime_max
-    )
+    k = max_traversals_for_deltas(d.cltv_expiry_delta, d.cltv_expiry_delta, tau_min)
+    budget = _entry_budget(implementation, defaults)
     curve = []
     for degree in degree_range:
         if degree < 0:
@@ -359,10 +320,6 @@ def isolation_cost_curve(
         if degree == 0 or k == 0:
             curve.append((degree, 0 if degree == 0 else math.inf))
             continue
-        n_payments = -(-slots // k)
-        residual = slots - (n_payments - 1) * k
-        per_channel = 2 * n_payments + (1 if residual % 2 == 1 else 0)
-        total = per_channel * degree
-        budget = min(ATTACKER_SLOT_LIMIT, slots)
-        curve.append((degree, -(-total // budget)))
+        per_channel = _payment_split(slots, k)[1]
+        curve.append((degree, -(-per_channel * degree // budget)))
     return curve

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -24,6 +24,7 @@ from .topology import (
     DefaultsTable,
     ImplLabel,
     NetworkGraph,
+    apply_slot_limits,
 )
 from .inference import split_by_slot_class
 
@@ -324,14 +325,11 @@ def kernighan_lin_cut(graph: NetworkGraph) -> CutResult:
 def _routes_for_cut(
     working: NetworkGraph,
     cut_channels: Iterable[str],
-    labels: Mapping[str, ImplLabel],
     config: planner.PlannerConfig,
 ) -> list[planner.AttackRoute]:
-    cut_sub = working.subgraph(cut_channels)
     routes: list[planner.AttackRoute] = []
-    for sub in split_by_slot_class(cut_sub, labels):
-        if len(sub):
-            routes.extend(planner.choose_routes(sub, config))
+    for sub in split_by_slot_class(working.subgraph(cut_channels)):
+        routes.extend(planner.choose_routes(sub, config))
     routes.sort(key=lambda r: (-r.weight, r.hops[0].channel_id))
     return routes
 
@@ -354,7 +352,7 @@ def plan_disconnection(
     """
     if not isinstance(method, DisconnectionMethod):
         raise ValueError(f"unknown disconnection method {method!r}")
-    graph = planner._ensure_slot_limits(graph, labels, defaults)
+    graph = apply_slot_limits(graph, labels, defaults)
     universe = graph.nodes
     baseline = connected_pairs_fraction(graph)
 
@@ -369,13 +367,7 @@ def plan_disconnection(
         return report, empty
 
     if method is DisconnectionMethod.GREEDY_BETWEENNESS:
-        cfg = planner.PlannerConfig(
-            tau_min=config.tau_min,
-            max_route_channels=config.max_route_channels,
-            locktime_max=config.locktime_max,
-            weight_mode=planner.WeightMode.BETWEENNESS,
-            betweenness_recompute=config.betweenness_recompute,
-        )
+        cfg = replace(config, weight_mode=planner.WeightMode.BETWEENNESS)
         plan = planner.plan_network_attack(graph, labels, defaults, cfg, budget_channels)
     else:
         min_component = 3 if method is DisconnectionMethod.SPECTRAL else 4
@@ -389,7 +381,7 @@ def plan_disconnection(
                 cut = fiedler_cut(working)
             else:
                 cut = kernighan_lin_cut(working)
-            new_routes = _routes_for_cut(working, cut.cut_channel_ids, labels, config)
+            new_routes = _routes_for_cut(working, cut.cut_channel_ids, config)
             if budget_channels is not None:
                 room = (budget_channels - 2 * len(routes)) // 2
                 new_routes = new_routes[:room]

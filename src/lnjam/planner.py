@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
 from .inference import split_by_slot_class
 from .topology import (
+    LOCKTIME_MAX,
     MAINNET_DEFAULTS,
     DefaultsTable,
     ImplLabel,
@@ -53,11 +54,6 @@ class WeightMode(Enum):
     BETWEENNESS = "betweenness"
 
 
-class RecomputeMode(Enum):
-    ONCE = "once"
-    PER_ROUTE = "per-route"
-
-
 @dataclass(frozen=True)
 class PlannerConfig:
     """Knobs for route selection.
@@ -66,22 +62,18 @@ class PlannerConfig:
         tau_min: minimum acceptable lock duration, blocks (default three days).
         max_route_channels: victim channels per route; the onion limit of 20
             minus the attacker's entry and exit hops.
-        locktime_max: ceiling on total route locktime, blocks.
-        weight_mode: channel ordering criterion.
-        betweenness_recompute: whether betweenness weights are refreshed on
-            the residual graph before each route.
+        weight_mode: channel ordering criterion. Betweenness weights are
+            recomputed on the residual graph before each route.
     """
 
     tau_min: int = 432
     max_route_channels: int = 18
-    locktime_max: int = 2016
     weight_mode: WeightMode = WeightMode.CAPACITY
-    betweenness_recompute: RecomputeMode = RecomputeMode.PER_ROUTE
 
     def __post_init__(self):
-        if not 0 < self.tau_min < self.locktime_max:
+        if not 0 < self.tau_min < LOCKTIME_MAX:
             raise InfeasibleConfigError(
-                f"tau_min must be in (0, {self.locktime_max}), got {self.tau_min}"
+                f"tau_min must be in (0, {LOCKTIME_MAX}), got {self.tau_min}"
             )
         if not 1 <= self.max_route_channels <= MAX_ROUTE_HOPS - 2:
             raise InfeasibleConfigError(
@@ -103,7 +95,7 @@ class AttackRoute:
 
     ``timeout_sum`` is the total forwarding delta charged along the walk
     (the attacker's own entry/exit hops charge zero); the payments stay
-    pending for ``lock_duration = locktime_max - timeout_sum`` blocks.
+    pending for ``lock_duration = LOCKTIME_MAX - timeout_sum`` blocks.
     ``payment_amount_msat`` is filled in by the cost model when a plan is
     priced.
     """
@@ -233,9 +225,9 @@ def can_extend_route(
     """Does adding a hop with this forwarding delta keep the route usable?
 
     The extended route must still lock payments for at least ``tau_min``
-    blocks under the ``locktime_max`` ceiling.
+    blocks under the ``LOCKTIME_MAX`` ceiling.
     """
-    return candidate_delta <= config.locktime_max - config.tau_min - route_timeout_sum
+    return candidate_delta <= LOCKTIME_MAX - config.tau_min - route_timeout_sum
 
 
 def _channel_weights(graph: NetworkGraph, config: PlannerConfig) -> dict[str, float]:
@@ -249,9 +241,7 @@ def _channel_weights(graph: NetworkGraph, config: PlannerConfig) -> dict[str, fl
 
 
 def choose_routes(
-    graph: NetworkGraph,
-    config: PlannerConfig = PlannerConfig(),
-    weights: Mapping[str, float] | None = None,
+    graph: NetworkGraph, config: PlannerConfig = PlannerConfig()
 ) -> list[AttackRoute]:
     """Partition a uniform-slot-class graph into attack routes.
 
@@ -262,7 +252,6 @@ def choose_routes(
     Args:
         graph: channels to cover; every ``slot_limit`` must be set and equal.
         config: locktime and ordering knobs.
-        weights: optional channel weights overriding ``config.weight_mode``.
 
     Returns:
         Routes in selection order (heaviest seed first).
@@ -276,7 +265,7 @@ def choose_routes(
         raise MixedSlotClassError(f"multiple slot classes in one planning pass: {sorted(classes)}")
     slot_class = classes.pop()
 
-    budget = config.locktime_max - config.tau_min
+    budget = LOCKTIME_MAX - config.tau_min
     remaining = {
         ch.channel_id for ch in graph.channels() if ch.min_delta <= budget
     }
@@ -284,14 +273,8 @@ def choose_routes(
     if dropped:
         logger.info("%d channels exceed the locktime budget and are skipped", dropped)
 
-    recompute = (
-        config.weight_mode is WeightMode.BETWEENNESS
-        and config.betweenness_recompute is RecomputeMode.PER_ROUTE
-        and weights is None
-    )
-    w: Mapping[str, float] = (
-        weights if weights is not None else _channel_weights(graph, config)
-    )
+    recompute = config.weight_mode is WeightMode.BETWEENNESS
+    w = {} if recompute else _channel_weights(graph, config)
 
     routes: list[AttackRoute] = []
     while remaining:
@@ -344,21 +327,13 @@ def choose_routes(
             AttackRoute(
                 hops=tuple(hops),
                 timeout_sum=timeout,
-                lock_duration=config.locktime_max - timeout,
+                lock_duration=LOCKTIME_MAX - timeout,
                 weight=sum(w.get(h.channel_id, 0.0) for h in hops),
                 slot_class=slot_class,
                 capacity_sat=sum(graph.channel(h.channel_id).capacity_sat for h in hops),
             )
         )
     return routes
-
-
-def _ensure_slot_limits(
-    graph: NetworkGraph, labels: Mapping[str, ImplLabel], defaults: DefaultsTable
-) -> NetworkGraph:
-    if any(ch.slot_limit is None for ch in graph.channels()):
-        return apply_slot_limits(graph, labels, defaults)
-    return graph
 
 
 def plan_network_attack(
@@ -370,8 +345,8 @@ def plan_network_attack(
 ) -> AttackPlan:
     """Plan a capacity-locking attack over the whole graph.
 
-    Channels are planned per slot class (483-slot LND-only channels
-    separately from 30-slot ones) so each route needs a single payment count.
+    Channels are planned per slot class (see :func:`split_by_slot_class`)
+    so each route needs a single payment count.
     Routes are then ranked by weight and truncated to the attacker-channel
     budget: each route costs two channels.
 
@@ -382,12 +357,10 @@ def plan_network_attack(
         raise InfeasibleConfigError(
             f"budget of {budget_channels} attacker channels cannot fund a route"
         )
-    graph = _ensure_slot_limits(graph, labels, defaults)
-    lnd_only, mixed = split_by_slot_class(graph, labels)
+    graph = apply_slot_limits(graph, labels, defaults)
     routes: list[AttackRoute] = []
-    for sub in (lnd_only, mixed):
-        if len(sub):
-            routes.extend(choose_routes(sub, config))
+    for sub in split_by_slot_class(graph):
+        routes.extend(choose_routes(sub, config))
     routes.sort(key=lambda r: (-r.weight, r.hops[0].channel_id))
     if budget_channels is not None:
         routes = routes[: budget_channels // 2]
@@ -449,13 +422,7 @@ def lock_period_sweep(
     for d in days:
         if d <= 0 or d >= 14:
             raise InfeasibleConfigError(f"lock period of {d} days is outside (0, 14)")
-        cfg = PlannerConfig(
-            tau_min=math.ceil(BLOCKS_PER_DAY * d),
-            max_route_channels=config.max_route_channels,
-            locktime_max=config.locktime_max,
-            weight_mode=config.weight_mode,
-            betweenness_recompute=config.betweenness_recompute,
-        )
+        cfg = replace(config, tau_min=math.ceil(BLOCKS_PER_DAY * d))
         plans.append((d, plan_network_attack(graph, labels, defaults, cfg, budget_channels)))
     return plans
 
@@ -479,12 +446,6 @@ def route_length_sweep(
             raise InfeasibleConfigError(
                 f"route length limit {limit} outside [3, {MAX_ROUTE_HOPS}]"
             )
-        cfg = PlannerConfig(
-            tau_min=config.tau_min,
-            max_route_channels=limit - 2,
-            locktime_max=config.locktime_max,
-            weight_mode=config.weight_mode,
-            betweenness_recompute=config.betweenness_recompute,
-        )
+        cfg = replace(config, max_route_channels=limit - 2)
         plans.append((limit, plan_network_attack(graph, labels, defaults, cfg, budget_channels)))
     return plans

@@ -24,18 +24,17 @@ from . import cost as cost_mod
 from .isolation import ATTACKER_SLOT_LIMIT, IsolationPlan
 from .planner import MAX_ROUTE_HOPS, AttackPlan
 from .topology import (
+    LOCKTIME_MAX,
     MAINNET_DEFAULTS,
     MSAT_PER_SAT,
     ChannelPolicy,
     DefaultsTable,
     ImplLabel,
     NetworkGraph,
-    apply_slot_limits,
+    channel_slot_limit,
 )
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_LOCKTIME_MAX = 2016
 
 # Final-hop expiry granted to ordinary (non-held) payments.
 FINAL_EXPIRY_DEFAULT = 9
@@ -149,26 +148,12 @@ class PaymentState:
     status: PaymentStatus = PaymentStatus.PENDING
 
 
-def _hop_fee(policy: ChannelPolicy, amount_msat: int) -> int:
-    proportional = -(-amount_msat * policy.fee_proportional_millionths // 1_000_000)
-    return policy.fee_base_msat + proportional
-
-
-def route_amounts(policies: Sequence[ChannelPolicy], delivered_msat: int) -> list[int]:
-    """Per-hop HTLC amounts for a delivered amount, fees backward-accumulated."""
-    amounts = [delivered_msat]
-    for policy in reversed(policies[1:]):
-        amounts.append(amounts[-1] + _hop_fee(policy, amounts[-1]))
-    amounts.reverse()
-    return amounts
-
-
 class SimNetwork:
     """A deterministic network of simulated channels."""
 
     def __init__(
         self,
-        locktime_max: int = DEFAULT_LOCKTIME_MAX,
+        locktime_max: int = LOCKTIME_MAX,
         reject_duplicate_hash: bool = False,
     ):
         self.locktime_max = locktime_max
@@ -244,16 +229,15 @@ class SimNetwork:
         labels: Mapping[str, ImplLabel],
         defaults: DefaultsTable = MAINNET_DEFAULTS,
         balance_split: float = 0.5,
-        locktime_max: int = DEFAULT_LOCKTIME_MAX,
     ) -> "SimNetwork":
         """Instantiate every graph channel; balances split (snapshots don't
-        reveal them), dust from the endpoints' implementation defaults."""
+        reveal them), dust and any slot limit not attached yet from the
+        endpoints' implementation defaults."""
         if not 0.0 <= balance_split <= 1.0:
             raise ValueError(f"balance_split must be in [0,1], got {balance_split}")
-        if any(ch.slot_limit is None for ch in graph.channels()):
-            graph = apply_slot_limits(graph, labels, defaults)
-        net = cls(locktime_max=locktime_max)
+        net = cls()
         for ch in graph.channels():
+            slot_limit = channel_slot_limit(ch, labels, defaults)
             dust = max(
                 defaults.for_label(labels[ch.endpoint_a]).dust_limit_sat,
                 defaults.for_label(labels[ch.endpoint_b]).dust_limit_sat,
@@ -267,7 +251,7 @@ class SimNetwork:
                 ch.capacity_sat,
                 policy_a_to_b=ch.policy_a_to_b,
                 policy_b_to_a=ch.policy_b_to_a,
-                slot_limit=ch.slot_limit,
+                slot_limit=slot_limit,
                 dust_limit_sat=dust,
                 balances=(bal_a, capacity_msat - bal_a),
             )
@@ -320,7 +304,7 @@ class SimNetwork:
             )
         hops = self._resolve_route(sender, channel_path)
         policies = [h.channel.policy_from(h.from_node) for h in hops]
-        amounts = route_amounts(policies, amount_msat)
+        amounts = cost_mod.route_amounts(policies, amount_msat)
         for hop, amount in zip(hops, amounts):
             hop.amount_msat = amount
 
@@ -543,6 +527,47 @@ def _probe_channel(net: SimNetwork, channel_id: str, probe_id: str) -> FailureRe
     return None
 
 
+def _check_and_report(
+    net: SimNetwork,
+    plan_kind: str,
+    targeted: Sequence[str],
+    failures: list[str],
+    payments_sent: int,
+    attacker_channels: int,
+    locks: list[tuple[int, int]],
+) -> VerificationReport:
+    """Check that each targeted channel sits at its slot limit and that a
+    probe through it fails with SlotFull; report every miss in ``failures``."""
+    locked = 0
+    probes_blocked = 0
+    for n, cid in enumerate(targeted):
+        channel = net.channels[cid]
+        if channel.pending_count == channel.slot_limit:
+            locked += 1
+        else:
+            failures.append(
+                f"channel {cid}: {channel.pending_count}/{channel.slot_limit} slots"
+            )
+        reason = _probe_channel(net, cid, f"probe{n}")
+        if reason is FailureReason.SLOT_FULL:
+            probes_blocked += 1
+        else:
+            failures.append(f"probe through {cid} was not blocked ({reason})")
+    return VerificationReport(
+        plan_kind=plan_kind,
+        ok=not failures,
+        failures=failures,
+        channels_targeted=len(targeted),
+        channels_locked=locked,
+        probes_attempted=len(targeted),
+        probes_blocked=probes_blocked,
+        payments_sent=payments_sent,
+        attacker_channels_opened=attacker_channels,
+        min_lock_duration=min((lock for _, lock in locks), default=None),
+        route_lock_durations=locks,
+    )
+
+
 def _open_entry_exit(
     net: SimNetwork,
     index: int,
@@ -618,35 +643,9 @@ def _execute_network_plan(
             ) - net.block_height
             route_locks.append((i, lock))
 
-    targeted = {h.channel_id for r in plan.routes for h in r.hops}
-    locked = 0
-    probes_blocked = 0
-    for n, cid in enumerate(sorted(targeted)):
-        channel = net.channels[cid]
-        if channel.pending_count == channel.slot_limit:
-            locked += 1
-        else:
-            failures.append(
-                f"channel {cid}: {channel.pending_count}/{channel.slot_limit} slots"
-            )
-        reason = _probe_channel(net, cid, f"probe{n}")
-        if reason is FailureReason.SLOT_FULL:
-            probes_blocked += 1
-        else:
-            failures.append(f"probe through {cid} was not blocked ({reason})")
-
-    return VerificationReport(
-        plan_kind="network-attack",
-        ok=not failures,
-        failures=failures,
-        channels_targeted=len(targeted),
-        channels_locked=locked,
-        probes_attempted=len(targeted),
-        probes_blocked=probes_blocked,
-        payments_sent=payments_sent,
-        attacker_channels_opened=attacker_channels,
-        min_lock_duration=min((l for _, l in route_locks), default=None),
-        route_lock_durations=route_locks,
+    targeted = sorted({h.channel_id for r in plan.routes for h in r.hops})
+    return _check_and_report(
+        net, "network-attack", targeted, failures, payments_sent, attacker_channels, route_locks
     )
 
 
@@ -681,7 +680,7 @@ def _execute_isolation_plan(
         # floor plus per-traversal fees; the victim side additionally needs
         # the shifted balance that funds circular exits.
         worst = floor + sum(
-            _hop_fee(p, 2 * floor) for p in (policy_out, policy_back)
+            p.fee_msat(2 * floor) for p in (policy_out, policy_back)
         ) * (iso.max_traversals + 2)
         even_exits = sum(1 for p in iso.payments if p.traversals % 2 == 0)
         odd_payments = len(iso.payments) - even_exits
@@ -744,36 +743,9 @@ def _execute_isolation_plan(
                 )
             )
 
-    locked = 0
-    probes_blocked = 0
-    probes = 0
-    for n, iso in enumerate(plan.per_channel):
-        channel = net.channels[iso.channel_id]
-        if channel.pending_count == channel.slot_limit:
-            locked += 1
-        else:
-            failures.append(
-                f"channel {iso.channel_id}: {channel.pending_count}/{channel.slot_limit} slots"
-            )
-        probes += 1
-        reason = _probe_channel(net, iso.channel_id, f"probe{n}")
-        if reason is FailureReason.SLOT_FULL:
-            probes_blocked += 1
-        else:
-            failures.append(f"probe through {iso.channel_id} was not blocked ({reason})")
-
-    return VerificationReport(
-        plan_kind="isolation",
-        ok=not failures,
-        failures=failures,
-        channels_targeted=len(plan.per_channel),
-        channels_locked=locked,
-        probes_attempted=probes,
-        probes_blocked=probes_blocked,
-        payments_sent=payments_sent,
-        attacker_channels_opened=attacker_channels,
-        min_lock_duration=min((l for _, l in locks), default=None),
-        route_lock_durations=locks,
+    targeted = [iso.channel_id for iso in plan.per_channel]
+    return _check_and_report(
+        net, "isolation", targeted, failures, payments_sent, attacker_channels, locks
     )
 
 
@@ -941,7 +913,8 @@ class _ScenarioRunner:
         except SimulatorError as exc:
             self._record(line_no, f"open {cid}", False, str(exc))
 
-    def _parse_pay(self, args: list[str], line_no: int):
+    def _send(self, args: list[str], line_no: int) -> tuple[str, Exception | None]:
+        """Parse and send one ``pay`` command: (payment id, the error it raised)."""
         if len(args) < 4:
             raise ScenarioParseError(
                 line_no, "pay needs: id amount_msat sender route [hold] [final=N]"
@@ -958,15 +931,16 @@ class _ScenarioRunner:
                 kwargs["payment_hash"] = tok.split("=", 1)[1]
             else:
                 raise ScenarioParseError(line_no, f"unknown pay option {tok!r}")
-        return payment_id, amount, sender, path, kwargs
-
-    def _cmd_pay(self, args: list[str], line_no: int) -> None:
-        payment_id, amount, sender, path, kwargs = self._parse_pay(args, line_no)
         try:
             self.net.send_payment(payment_id, sender, path, amount, **kwargs)
-            self._record(line_no, f"pay {payment_id}", True)
         except (PaymentError, SimulatorError) as exc:
-            self._record(line_no, f"pay {payment_id}", False, str(exc))
+            return payment_id, exc
+        return payment_id, None
+
+    def _cmd_pay(self, args: list[str], line_no: int, verb: str = "pay") -> None:
+        payment_id, error = self._send(args, line_no)
+        detail = "" if error is None else str(error)
+        self._record(line_no, f"{verb} {payment_id}", error is None, detail)
 
     def _cmd_fulfill(self, args: list[str], line_no: int) -> None:
         try:
@@ -1029,41 +1003,24 @@ class _ScenarioRunner:
             args = args[1:]
         if not args or args[0] != "pay":
             raise ScenarioParseError(line_no, "assert_fails expects a pay command")
-        payment_id, amount, sender, path, kwargs = self._parse_pay(args[1:], line_no)
-        try:
-            self.net.send_payment(payment_id, sender, path, amount, **kwargs)
-        except PaymentError as exc:
-            if reason is None or exc.reason.value == reason:
-                self._record(line_no, f"assert_fails {payment_id}", True)
-            else:
-                self._record(
-                    line_no,
-                    f"assert_fails {payment_id}",
-                    False,
-                    f"failed with {exc.reason.value}, expected {reason}",
-                )
-            return
-        except SimulatorError as exc:
-            self._record(line_no, f"assert_fails {payment_id}", False, f"misuse: {exc}")
-            return
-        self._record(line_no, f"assert_fails {payment_id}", False, "payment succeeded")
+        payment_id, error = self._send(args[1:], line_no)
+        if error is None:
+            ok, detail = False, "payment succeeded"
+        elif not isinstance(error, PaymentError):
+            ok, detail = False, f"misuse: {error}"
+        elif reason is None or error.reason.value == reason:
+            ok, detail = True, ""
+        else:
+            ok, detail = False, f"failed with {error.reason.value}, expected {reason}"
+        self._record(line_no, f"assert_fails {payment_id}", ok, detail)
 
     def _cmd_assert_succeeds(self, args: list[str], line_no: int) -> None:
         if not args or args[0] != "pay":
             raise ScenarioParseError(line_no, "assert_succeeds expects a pay command")
-        payment_id, amount, sender, path, kwargs = self._parse_pay(args[1:], line_no)
-        try:
-            self.net.send_payment(payment_id, sender, path, amount, **kwargs)
-            self._record(line_no, f"assert_succeeds {payment_id}", True)
-        except (PaymentError, SimulatorError) as exc:
-            self._record(line_no, f"assert_succeeds {payment_id}", False, str(exc))
+        self._cmd_pay(args[1:], line_no, verb="assert_succeeds")
 
 
-def run_scenario(
-    script: str,
-    locktime_max: int = DEFAULT_LOCKTIME_MAX,
-    reject_duplicate_hash: bool = False,
-) -> ScenarioResult:
+def run_scenario(script: str, reject_duplicate_hash: bool = False) -> ScenarioResult:
     """Replay a scenario script on a fresh network.
 
     Scripts are line-oriented: ``open``, ``pay`` (``hold`` keyword for
@@ -1073,7 +1030,7 @@ def run_scenario(
     ``repeat N <cmd>`` expands ``{i}`` for i = 1..N. Route tokens are
     comma-separated channel ids with an optional ``*N`` repeat suffix.
     """
-    net = SimNetwork(locktime_max=locktime_max, reject_duplicate_hash=reject_duplicate_hash)
+    net = SimNetwork(reject_duplicate_hash=reject_duplicate_hash)
     return _ScenarioRunner(net).run(script)
 
 

@@ -26,6 +26,9 @@ MSAT_PER_SAT = 1000
 # BOLT 7 caps cltv_expiry_delta well below this; anything larger is garbage data.
 MAX_CLTV_DELTA = 5 * 10**8
 
+# Ceiling on a payment's total locktime, blocks (two weeks).
+LOCKTIME_MAX = 2016
+
 # Policy fields a histogram can be computed over.
 HISTOGRAM_PARAMETERS = (
     "cltv_expiry_delta",
@@ -161,6 +164,11 @@ class ChannelPolicy:
                 raise ValueError(f"{field} must be a non-negative integer, got {value!r}")
         if self.cltv_expiry_delta >= MAX_CLTV_DELTA:
             raise ValueError(f"cltv_expiry_delta {self.cltv_expiry_delta} out of range")
+
+    def fee_msat(self, amount_msat: int) -> int:
+        """Fee for forwarding ``amount_msat``; the proportional part rounds up."""
+        proportional = -(-amount_msat * self.fee_proportional_millionths // 1_000_000)
+        return self.fee_base_msat + proportional
 
 
 @dataclass(frozen=True)
@@ -483,30 +491,48 @@ def build_graph(snapshot: Snapshot) -> NetworkGraph:
     return graph
 
 
+def channel_slot_limit(
+    channel: GraphChannel,
+    labels: Mapping[str, ImplLabel],
+    defaults: DefaultsTable = MAINNET_DEFAULTS,
+) -> int:
+    """HTLC slot limit of one channel.
+
+    The limit already attached to the channel, if any. Otherwise the smaller
+    of the two endpoints' default max_concurrent_htlcs: whichever side
+    tolerates fewer pending HTLCs caps the channel. Raises
+    :class:`UnlabeledNodeError` for an endpoint absent from ``labels``.
+    """
+    if channel.slot_limit is not None:
+        return channel.slot_limit
+    try:
+        label_a, label_b = labels[channel.endpoint_a], labels[channel.endpoint_b]
+    except KeyError as exc:
+        raise UnlabeledNodeError(exc.args[0]) from None
+    return min(
+        defaults.for_label(label_a).max_concurrent_htlcs,
+        defaults.for_label(label_b).max_concurrent_htlcs,
+    )
+
+
 def apply_slot_limits(
     graph: NetworkGraph,
     labels: Mapping[str, ImplLabel],
     defaults: DefaultsTable = MAINNET_DEFAULTS,
 ) -> NetworkGraph:
-    """Attach per-channel HTLC slot limits.
+    """Attach :func:`channel_slot_limit` to every channel.
 
-    A channel's limit is the smaller of the two endpoints' default
-    max_concurrent_htlcs: whichever side tolerates fewer pending HTLCs caps
-    the channel. Raises :class:`UnlabeledNodeError` for an endpoint absent
-    from ``labels``.
+    Channels that already carry a limit keep it: to limit a graph under
+    another defaults table, start again from :func:`build_graph` output.
+    A graph whose channels all carry one is returned as it is.
     """
-    updated = []
-    for ch in graph.channels():
-        for end in (ch.endpoint_a, ch.endpoint_b):
-            if end not in labels:
-                raise UnlabeledNodeError(end)
-        limit = min(
-            defaults.for_label(labels[ch.endpoint_a]).max_concurrent_htlcs,
-            defaults.for_label(labels[ch.endpoint_b]).max_concurrent_htlcs,
-        )
-        updated.append(replace(ch, slot_limit=limit))
+    if all(ch.slot_limit is not None for ch in graph.channels()):
+        return graph
     return NetworkGraph(
-        updated,
+        (
+            replace(ch, slot_limit=channel_slot_limit(ch, labels, defaults))
+            for ch in graph.channels()
+        ),
         dropped_disabled=graph.dropped_disabled,
         dropped_missing_policy=graph.dropped_missing_policy,
     )

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from lnjam import partition
 from lnjam.cli import main
 from lnjam.topology import parse_snapshot, serialize_snapshot
 
@@ -189,3 +190,28 @@ def test_csv_output_is_byte_identical_across_runs(snapshot_file, tmp_path):
             "attack-network", "--snapshot", str(snapshot_file), "--output", str(path),
         ]) == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_spectral_non_convergence_is_infeasible(snapshot_file, monkeypatch, capsys):
+    monkeypatch.setattr(partition, "POWER_ITERATION_CAP", 1)
+    code = main([
+        "attack-connectivity", "--snapshot", str(snapshot_file),
+        "--method", "spectral", "--budget", "12",
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "infeasible:" in err
+    assert "Traceback" not in err
+
+
+def test_attack_node_output_verifies(snapshot_file, tmp_path, capsys):
+    # The README workflow: attack-node --output, then verify-plan --plan.
+    plan_path = tmp_path / "plan.json"
+    assert main([
+        "attack-node", "--snapshot", str(snapshot_file), "--victim", "n003",
+        "--output", str(plan_path),
+    ]) == 0
+    code = main(["verify-plan", "--snapshot", str(snapshot_file), "--plan", str(plan_path)])
+    assert code in (0, 4)
+    report = json.loads(capsys.readouterr().out)["verification"]
+    assert report["plan_kind"] == "isolation"

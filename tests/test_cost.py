@@ -93,7 +93,7 @@ def test_amounts_satisfy_the_backward_fee_recurrence():
 def _slot_class_subgraphs(graph, labels):
     from lnjam.inference import split_by_slot_class
 
-    return [sub for sub in split_by_slot_class(graph, labels) if len(sub)]
+    return [sub for sub in split_by_slot_class(graph) if len(sub)]
 
 
 def test_htlc_minimum_can_outrank_the_dust_floor():

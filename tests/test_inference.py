@@ -123,7 +123,7 @@ def test_weights_must_sum_to_one():
 def test_split_by_slot_class(mixed_mesh):
     snapshot, graph, labels = mixed_mesh
     graph = apply_slot_limits(graph, labels, MAINNET_DEFAULTS)
-    big, small = split_by_slot_class(graph, labels)
+    big, small = split_by_slot_class(graph)
     assert len(big) + len(small) == len(graph)
     for ch in big.channels():
         assert labels[ch.endpoint_a] is ImplLabel.LND

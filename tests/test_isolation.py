@@ -12,6 +12,7 @@ from lnjam.isolation import (
     plan_isolation,
 )
 from lnjam.inference import tag_nodes
+from lnjam.simulator import execute_plan
 from lnjam.topology import (
     MAINNET_DEFAULTS,
     ImplLabel,
@@ -194,3 +195,15 @@ def test_cost_curve_marks_infeasible_degrees():
     assert curve[3] == math.inf
     with pytest.raises(ValueError, match="negative"):
         isolation_cost_curve(ImplLabel.LND, [-1])
+
+
+def test_attached_slot_limits_change_no_plan_or_replay(mixed_mesh):
+    # Slot limits derived per channel match the ones apply_slot_limits attaches.
+    _, graph, labels = mixed_mesh
+    limited = apply_slot_limits(graph, labels, MAINNET_DEFAULTS)
+    victims = sorted(graph.nodes, key=lambda n: (-graph.degree(n), n))[:3]
+    for victim in victims:
+        plans = [plan_isolation(g, labels, victim=victim) for g in (graph, limited)]
+        assert plans[0].to_json_dict() == plans[1].to_json_dict()
+        reports = [execute_plan(plans[0], g, labels) for g in (graph, limited)]
+        assert reports[0].to_json_dict() == reports[1].to_json_dict()

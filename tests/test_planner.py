@@ -1,5 +1,7 @@
 """Greedy route selection under the locktime budget."""
 
+from dataclasses import replace
+
 import pytest
 
 from lnjam.planner import (
@@ -168,6 +170,24 @@ def test_plan_covers_mixed_graph_via_class_split(mixed_mesh):
     for route in plan.routes:
         assert route.lock_duration >= 432
         assert route.n_channels <= 18
+
+
+def test_custom_defaults_table_plans_every_slot_class():
+    # C-Lightning raised to 100 slots: LND-LND channels keep 483, channels
+    # with a C-Lightning end and no Eclair end get 100, Eclair caps at 30.
+    table = replace(
+        MAINNET_DEFAULTS,
+        clightning=replace(MAINNET_DEFAULTS.clightning, max_concurrent_htlcs=100),
+    )
+    snapshot = netgen.random_snapshot(30, 20, seed=42, impl_names=netgen.IMPL_NAMES)
+    labels = tag_nodes(snapshot)
+    limited = apply_slot_limits(build_graph(snapshot), labels, table)
+    assert {ch.slot_limit for ch in limited.channels()} == {483, 100, 30}
+    plan = plan_network_attack(build_graph(snapshot), labels, table)
+    assert plan.uncovered_channel_ids == ()
+    for route in plan.routes:
+        for cid in route.channel_ids:
+            assert limited.channel(cid).slot_limit == route.slot_class
 
 
 def test_budget_keeps_heaviest_routes():

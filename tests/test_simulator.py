@@ -11,9 +11,9 @@ from lnjam.simulator import (
     SimNetwork,
     SimulatorError,
     builtin_scenario,
-    route_amounts,
     run_scenario,
 )
+from lnjam.cost import route_amounts
 from lnjam.topology import ChannelPolicy
 
 
