@@ -41,6 +41,7 @@ from .topology import (
     HISTOGRAM_PARAMETERS,
     MAINNET_DEFAULTS,
     ImplLabel,
+    NetworkGraph,
     SnapshotParseError,
     build_graph,
     parameter_histogram,
@@ -362,6 +363,31 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK if result.passed else EXIT_ASSERTION
 
 
+def _check_plan_channels(plan: AttackPlan | IsolationPlan, graph: NetworkGraph) -> None:
+    """Raise InputError unless every route is a walk with a positive slot
+    class, and every channel the plan names is in the graph and joins the
+    two nodes the plan says it does."""
+    if isinstance(plan, AttackPlan):
+        for i, route in enumerate(plan.routes, start=1):
+            hops = route.hops
+            if route.slot_class < 1 or not hops or any(
+                a.to_node != b.from_node for a, b in zip(hops, hops[1:])
+            ):
+                raise InputError(f"route {i} is not a walk of hops with a positive slot_class")
+        joins = [(h.channel_id, h.from_node, h.to_node) for r in plan.routes for h in r.hops]
+    else:
+        joins = [(c.channel_id, plan.victim, c.neighbor) for c in plan.per_channel]
+    for cid, node, other in joins:
+        if cid not in graph:
+            raise InputError(f"plan names channel {cid!r}, which is not in the snapshot")
+        ch = graph.channel(cid)
+        if {node, other} != {ch.endpoint_a, ch.endpoint_b}:
+            raise InputError(
+                f"channel {cid!r} joins {ch.endpoint_a} and {ch.endpoint_b},"
+                f" not {node} and {other}"
+            )
+
+
 def cmd_verify_plan(args: argparse.Namespace) -> int:
     _, graph, labels = _load_graph_and_labels(args.snapshot)
     try:
@@ -377,12 +403,14 @@ def cmd_verify_plan(args: argparse.Namespace) -> int:
     if isinstance(doc.get("plan"), dict):
         doc = doc["plan"]
     kind = doc.get("kind")
-    if kind == "network-attack":
-        plan = AttackPlan.from_json_dict(doc)
-    elif kind == "isolation":
-        plan = IsolationPlan.from_json_dict(doc)
-    else:
+    if kind not in ("network-attack", "isolation"):
         raise InputError(f"unknown plan kind {kind!r}")
+    try:
+        plan_type = AttackPlan if kind == "network-attack" else IsolationPlan
+        plan = plan_type.from_json_dict(doc)
+        _check_plan_channels(plan, graph)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed {kind} plan: {exc!r}")
     report = execute_plan(plan, graph, labels)
     meta = {"tool": f"lnjam {__version__}", "command": args.command, "plan": args.plan}
     _emit(args.output, _json_text(meta, {"verification": report.to_json_dict()}))

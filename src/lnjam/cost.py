@@ -200,18 +200,3 @@ def estimate_costs(
     )
     return report
 
-
-def required_channel_balance(
-    route: AttackRoute,
-    graph: NetworkGraph | None = None,
-    labels: Mapping[str, ImplLabel] | None = None,
-    defaults: DefaultsTable = MAINNET_DEFAULTS,
-) -> int:
-    """Liquidity (msat) the attacker's entry channel must hold for a route:
-    one payment amount per slot being filled."""
-    amount = route.payment_amount_msat
-    if amount is None:
-        if graph is None or labels is None:
-            raise ValueError("unpriced route needs graph and labels to compute amount")
-        amount = payment_amount_for_route(route, graph, labels, defaults)
-    return route.slot_class * amount

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable
 
 from .topology import (
@@ -29,31 +28,15 @@ logger = logging.getLogger(__name__)
 _LABEL_PRIORITY = (ImplLabel.LND, ImplLabel.CLIGHTNING, ImplLabel.ECLAIR)
 
 
-@dataclass(frozen=True)
-class InferenceWeights:
-    """Per-parameter match weights; must sum to 1."""
-
-    cltv_expiry_delta: float = 0.75
-    htlc_minimum_msat: float = 0.2
-    fee_proportional_millionths: float = 0.05
-
-    def __post_init__(self):
-        total = (
-            self.cltv_expiry_delta
-            + self.htlc_minimum_msat
-            + self.fee_proportional_millionths
-        )
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {total}")
-
-
-DEFAULT_WEIGHTS = InferenceWeights()
+# Per-parameter match weights; they sum to 1.
+CLTV_DELTA_WEIGHT = 0.75
+HTLC_MINIMUM_WEIGHT = 0.2
+FEE_RATE_WEIGHT = 0.05
 
 
 def score_node(
     policies: Iterable[ChannelPolicy],
     defaults: DefaultsTable = MAINNET_DEFAULTS,
-    weights: InferenceWeights = DEFAULT_WEIGHTS,
 ) -> dict[ImplLabel, float]:
     """Score one node's announced policies against each implementation.
 
@@ -70,11 +53,11 @@ def score_node(
         total = 0.0
         for p in policies:
             if p.cltv_expiry_delta == d.cltv_expiry_delta:
-                total += weights.cltv_expiry_delta
+                total += CLTV_DELTA_WEIGHT
             if p.htlc_minimum_msat == d.htlc_minimum_msat:
-                total += weights.htlc_minimum_msat
+                total += HTLC_MINIMUM_WEIGHT
             if p.fee_proportional_millionths == d.fee_proportional_millionths:
-                total += weights.fee_proportional_millionths
+                total += FEE_RATE_WEIGHT
         scores[label] = total / len(policies)
     return scores
 
@@ -97,7 +80,6 @@ def announced_policies(snapshot: Snapshot) -> dict[str, list[ChannelPolicy]]:
 def tag_nodes(
     snapshot: Snapshot,
     defaults: DefaultsTable = MAINNET_DEFAULTS,
-    weights: InferenceWeights = DEFAULT_WEIGHTS,
 ) -> dict[str, ImplLabel]:
     """Assign every node the implementation with the highest score.
 
@@ -106,7 +88,7 @@ def tag_nodes(
     """
     labels: dict[str, ImplLabel] = {}
     for node_id, policies in announced_policies(snapshot).items():
-        scores = score_node(policies, defaults, weights)
+        scores = score_node(policies, defaults)
         best = _LABEL_PRIORITY[0]
         for label in _LABEL_PRIORITY[1:]:
             if scores[label] > scores[best]:

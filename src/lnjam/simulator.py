@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
@@ -24,6 +24,7 @@ from . import cost as cost_mod
 from .isolation import ATTACKER_SLOT_LIMIT, IsolationPlan
 from .planner import MAX_ROUTE_HOPS, AttackPlan
 from .topology import (
+    BALANCE_SPLIT,
     LOCKTIME_MAX,
     MAINNET_DEFAULTS,
     MSAT_PER_SAT,
@@ -228,13 +229,10 @@ class SimNetwork:
         graph: NetworkGraph,
         labels: Mapping[str, ImplLabel],
         defaults: DefaultsTable = MAINNET_DEFAULTS,
-        balance_split: float = 0.5,
     ) -> "SimNetwork":
-        """Instantiate every graph channel; balances split (snapshots don't
-        reveal them), dust and any slot limit not attached yet from the
+        """Instantiate every graph channel; balances split by
+        ``BALANCE_SPLIT``, dust and any slot limit not attached yet from the
         endpoints' implementation defaults."""
-        if not 0.0 <= balance_split <= 1.0:
-            raise ValueError(f"balance_split must be in [0,1], got {balance_split}")
         net = cls()
         for ch in graph.channels():
             slot_limit = channel_slot_limit(ch, labels, defaults)
@@ -243,7 +241,7 @@ class SimNetwork:
                 defaults.for_label(labels[ch.endpoint_b]).dust_limit_sat,
             )
             capacity_msat = ch.capacity_sat * MSAT_PER_SAT
-            bal_a = int(capacity_msat * balance_split)
+            bal_a = int(capacity_msat * BALANCE_SPLIT)
             net.open_channel(
                 ch.channel_id,
                 ch.endpoint_a,
@@ -487,182 +485,101 @@ class VerificationReport:
     route_lock_durations: list[tuple[int, int]]
 
     def to_json_dict(self) -> dict:
-        return {
-            "plan_kind": self.plan_kind,
-            "ok": self.ok,
-            "failures": self.failures,
-            "channels_targeted": self.channels_targeted,
-            "channels_locked": self.channels_locked,
-            "probes_attempted": self.probes_attempted,
-            "probes_blocked": self.probes_blocked,
-            "payments_sent": self.payments_sent,
-            "attacker_channels_opened": self.attacker_channels_opened,
-            "min_lock_duration": self.min_lock_duration,
-            "route_lock_durations": [list(x) for x in self.route_lock_durations],
-        }
+        return asdict(self)
 
 
-def _attacker_policy(delta: int) -> ChannelPolicy:
-    return ChannelPolicy(
-        cltv_expiry_delta=delta,
-        htlc_minimum_msat=0,
-        fee_base_msat=0,
-        fee_proportional_millionths=0,
+# The attacker's own channels charge nothing leaving the attacker; the peer
+# side forwards back to the attacker with a one-block delta.
+_FROM_ATTACKER = ChannelPolicy(
+    cltv_expiry_delta=0, htlc_minimum_msat=0, fee_base_msat=0, fee_proportional_millionths=0
+)
+_TO_ATTACKER = ChannelPolicy(
+    cltv_expiry_delta=1, htlc_minimum_msat=0, fee_base_msat=0, fee_proportional_millionths=0
+)
+
+
+def _open_attacker_channel(
+    net: SimNetwork, channel_id: str, peer: str, capacity_sat: int, slot_limit: int, entry: bool
+) -> str:
+    """Open an entry channel (attacker → peer) or an exit channel (peer →
+    attacker); the side the payments leave from funds it."""
+    node_a, node_b = (ATTACKER_NODE, peer) if entry else (peer, ATTACKER_NODE)
+    return net.open_channel(
+        channel_id,
+        node_a,
+        node_b,
+        capacity_sat,
+        funder=node_a,
+        policy_a_to_b=_FROM_ATTACKER if entry else _TO_ATTACKER,
+        policy_b_to_a=_TO_ATTACKER if entry else _FROM_ATTACKER,
+        slot_limit=slot_limit,
     )
 
 
-def _probe_channel(net: SimNetwork, channel_id: str, probe_id: str) -> FailureReason | None:
-    """Try a single-hop payment across a channel; None means it went through."""
-    channel = net.channels[channel_id]
-    policy = channel.policy_from(channel.node_a)
-    amount = max(
-        channel.dust_limit_sat * MSAT_PER_SAT,
-        policy.htlc_minimum_msat,
-        1,
-    )
+def _try_send(
+    net: SimNetwork,
+    payment_id: str,
+    sender: str,
+    path: Sequence[str],
+    amount_msat: int,
+    hold: bool = False,
+) -> FailureReason | None:
+    """Send one payment; the reason it failed, or None if it went through."""
     try:
-        net.send_payment(probe_id, channel.node_a, [channel_id], amount)
+        net.send_payment(payment_id, sender, path, amount_msat, hold=hold)
     except PaymentError as exc:
         return exc.reason
     return None
 
 
-def _check_and_report(
+def _attack_network(
     net: SimNetwork,
-    plan_kind: str,
-    targeted: Sequence[str],
-    failures: list[str],
-    payments_sent: int,
-    attacker_channels: int,
-    locks: list[tuple[int, int]],
-) -> VerificationReport:
-    """Check that each targeted channel sits at its slot limit and that a
-    probe through it fails with SlotFull; report every miss in ``failures``."""
-    locked = 0
-    probes_blocked = 0
-    for n, cid in enumerate(targeted):
-        channel = net.channels[cid]
-        if channel.pending_count == channel.slot_limit:
-            locked += 1
-        else:
-            failures.append(
-                f"channel {cid}: {channel.pending_count}/{channel.slot_limit} slots"
-            )
-        reason = _probe_channel(net, cid, f"probe{n}")
-        if reason is FailureReason.SLOT_FULL:
-            probes_blocked += 1
-        else:
-            failures.append(f"probe through {cid} was not blocked ({reason})")
-    return VerificationReport(
-        plan_kind=plan_kind,
-        ok=not failures,
-        failures=failures,
-        channels_targeted=len(targeted),
-        channels_locked=locked,
-        probes_attempted=len(targeted),
-        probes_blocked=probes_blocked,
-        payments_sent=payments_sent,
-        attacker_channels_opened=attacker_channels,
-        min_lock_duration=min((lock for _, lock in locks), default=None),
-        route_lock_durations=locks,
-    )
-
-
-def _open_entry_exit(
-    net: SimNetwork,
-    index: int,
-    start: str,
-    head: str,
-    capacity_sat: int,
-    slot_limit: int,
-) -> tuple[str, str]:
-    entry = f"atk-e{index}"
-    exit_ = f"atk-x{index}"
-    net.open_channel(
-        entry,
-        ATTACKER_NODE,
-        start,
-        capacity_sat,
-        funder=ATTACKER_NODE,
-        policy_a_to_b=_attacker_policy(0),
-        policy_b_to_a=_attacker_policy(1),
-        slot_limit=slot_limit,
-    )
-    net.open_channel(
-        exit_,
-        head,
-        ATTACKER_NODE,
-        capacity_sat,
-        funder=head,
-        policy_a_to_b=_attacker_policy(1),
-        policy_b_to_a=_attacker_policy(0),
-        slot_limit=slot_limit,
-    )
-    return entry, exit_
-
-
-def _execute_network_plan(
     plan: AttackPlan,
     graph: NetworkGraph,
     labels: Mapping[str, ImplLabel],
     defaults: DefaultsTable,
-    balance_split: float,
-) -> VerificationReport:
-    net = SimNetwork.from_graph(graph, labels, defaults, balance_split)
+) -> tuple[list[str], list[tuple[int, int]]]:
+    """Send ``slot_class`` held payments along each route, between an entry
+    and an exit channel of its own: the failures, and each locked route's
+    lock duration."""
     failures: list[str] = []
-    payments_sent = 0
-    attacker_channels = 0
-    route_locks: list[tuple[int, int]] = []
-
+    locks: list[tuple[int, int]] = []
     for i, route in enumerate(plan.routes, start=1):
         amounts = cost_mod.hop_amounts_msat(route, graph, labels, defaults)
         sender_total, delivered = amounts[0], amounts[-1]
-        start = route.hops[0].from_node
-        head = route.hops[-1].to_node
         # Entry bankrolls every payment at the sender amount; the exit side
         # only needs the floor amount forwarded back to the attacker.
         capacity_sat = (route.slot_class * sender_total * 2) // MSAT_PER_SAT + 100_000
-        entry, exit_ = _open_entry_exit(
-            net, i, start, head, capacity_sat, ATTACKER_SLOT_LIMIT
+        start, head = route.hops[0].from_node, route.hops[-1].to_node
+        entry = _open_attacker_channel(
+            net, f"atk-e{i}", start, capacity_sat, ATTACKER_SLOT_LIMIT, entry=True
         )
-        attacker_channels += 2
-        path = [entry] + list(route.channel_ids) + [exit_]
-        route_failed = False
+        exit_ = _open_attacker_channel(
+            net, f"atk-x{i}", head, capacity_sat, ATTACKER_SLOT_LIMIT, entry=False
+        )
+        path = [entry, *route.channel_ids, exit_]
         for j in range(route.slot_class):
-            try:
-                net.send_payment(f"r{i}p{j}", ATTACKER_NODE, path, delivered, hold=True)
-                payments_sent += 1
-            except PaymentError as exc:
-                failures.append(f"route {i} payment {j + 1}: {exc.reason.value}")
-                route_failed = True
+            reason = _try_send(net, f"r{i}p{j}", ATTACKER_NODE, path, delivered, hold=True)
+            if reason is not None:
+                failures.append(f"route {i} payment {j + 1}: {reason.value}")
                 break
-        if not route_failed:
+        else:
             lock = min(
                 min(h.expiry_height for h in net.channels[cid].pending.values())
                 for cid in route.channel_ids
             ) - net.block_height
-            route_locks.append((i, lock))
-
-    targeted = sorted({h.channel_id for r in plan.routes for h in r.hops})
-    return _check_and_report(
-        net, "network-attack", targeted, failures, payments_sent, attacker_channels, route_locks
-    )
+            locks.append((i, lock))
+    return failures, locks
 
 
-def _execute_isolation_plan(
-    plan: IsolationPlan,
-    graph: NetworkGraph,
-    labels: Mapping[str, ImplLabel],
-    defaults: DefaultsTable,
-    balance_split: float,
-) -> VerificationReport:
-    net = SimNetwork.from_graph(graph, labels, defaults, balance_split)
+def _attack_isolation(
+    net: SimNetwork, plan: IsolationPlan
+) -> tuple[list[str], list[tuple[int, int]]]:
+    """Bounce each channel's held payments across it from an entry channel
+    at the victim: the failures, and each touched channel's lock duration."""
     failures: list[str] = []
-    payments_sent = 0
-    attacker_channels = 0
     locks: list[tuple[int, int]] = []
     victim = plan.victim
-
     for idx, iso in enumerate(plan.per_channel, start=1):
         if not iso.paralyzable:
             failures.append(f"channel {iso.channel_id} unparalyzable at this tau_min")
@@ -682,70 +599,82 @@ def _execute_isolation_plan(
         worst = floor + sum(
             p.fee_msat(2 * floor) for p in (policy_out, policy_back)
         ) * (iso.max_traversals + 2)
-        even_exits = sum(1 for p in iso.payments if p.traversals % 2 == 0)
+        even_exits = sum(p.ends_at_victim for p in iso.payments)
         odd_payments = len(iso.payments) - even_exits
         shift = even_exits * 2 * worst + 10 * floor
         entry_cap_sat = max(
             (shift + (len(iso.payments) + 2) * worst) // MSAT_PER_SAT + 100_000,
             1_000_000,
         )
-        entry = f"atk-v{idx}"
-        net.open_channel(
-            entry,
-            ATTACKER_NODE,
-            victim,
-            entry_cap_sat,
-            funder=ATTACKER_NODE,
-            policy_a_to_b=_attacker_policy(0),
-            policy_b_to_a=_attacker_policy(1),
-            slot_limit=plan.entry_budget,
+        entry = _open_attacker_channel(
+            net, f"atk-v{idx}", victim, entry_cap_sat, plan.entry_budget, entry=True
         )
-        attacker_channels += 1
         # Shift liquidity to the victim side so circular exits can escrow.
         if even_exits:
             net.send_payment(f"shift{idx}", ATTACKER_NODE, [entry], shift)
         exit_neighbor = None
         if odd_payments:
-            exit_neighbor = f"atk-n{idx}"
-            net.open_channel(
-                exit_neighbor,
-                iso.neighbor,
-                ATTACKER_NODE,
-                max(odd_payments * 2 * worst // MSAT_PER_SAT + 100_000, 1_000_000),
-                funder=iso.neighbor,
-                policy_a_to_b=_attacker_policy(1),
-                policy_b_to_a=_attacker_policy(0),
-                slot_limit=ATTACKER_SLOT_LIMIT,
+            exit_cap_sat = max(odd_payments * 2 * worst // MSAT_PER_SAT + 100_000, 1_000_000)
+            exit_neighbor = _open_attacker_channel(
+                net, f"atk-n{idx}", iso.neighbor, exit_cap_sat, ATTACKER_SLOT_LIMIT, entry=False
             )
-            attacker_channels += 1
         for j, payment in enumerate(iso.payments):
-            loop = [iso.channel_id] * payment.traversals
-            if payment.traversals % 2 == 0:
-                path = [entry] + loop + [entry]
-            else:
-                path = [entry] + loop + [exit_neighbor]
-            try:
-                net.send_payment(
-                    f"iso{idx}p{j}", ATTACKER_NODE, path, floor, hold=True
-                )
-                payments_sent += 1
-            except PaymentError as exc:
-                failures.append(
-                    f"channel {iso.channel_id} payment {j + 1}: {exc.reason.value}"
-                )
+            exit_ = entry if payment.ends_at_victim else exit_neighbor
+            path = [entry, *[iso.channel_id] * payment.traversals, exit_]
+            reason = _try_send(net, f"iso{idx}p{j}", ATTACKER_NODE, path, floor, hold=True)
+            if reason is not None:
+                failures.append(f"channel {iso.channel_id} payment {j + 1}: {reason.value}")
                 break
         if target.pending:
-            locks.append(
-                (
-                    idx,
-                    min(h.expiry_height for h in target.pending.values())
-                    - net.block_height,
-                )
-            )
+            lock = min(h.expiry_height for h in target.pending.values()) - net.block_height
+            locks.append((idx, lock))
+    return failures, locks
 
-    targeted = [iso.channel_id for iso in plan.per_channel]
-    return _check_and_report(
-        net, "isolation", targeted, failures, payments_sent, attacker_channels, locks
+
+def _check_and_report(
+    net: SimNetwork,
+    plan_kind: str,
+    targeted: Sequence[str],
+    failures: list[str],
+    locks: list[tuple[int, int]],
+) -> VerificationReport:
+    """Check that each targeted channel sits at its slot limit and that a
+    probe through it fails with SlotFull; report every miss in ``failures``.
+
+    ``net`` holds the targeted channels plus those the attacker opened, and
+    every held payment in it is one the plan sent.
+    """
+    payments_sent = sum(p.hold for p in net.payments.values())
+    attacker_channels = len(net.channels) - len(set(targeted))
+    locked = 0
+    probes_blocked = 0
+    for n, cid in enumerate(targeted):
+        channel = net.channels[cid]
+        if channel.pending_count == channel.slot_limit:
+            locked += 1
+        else:
+            failures.append(
+                f"channel {cid}: {channel.pending_count}/{channel.slot_limit} slots"
+            )
+        policy = channel.policy_from(channel.node_a)
+        amount = max(channel.dust_limit_sat * MSAT_PER_SAT, policy.htlc_minimum_msat, 1)
+        reason = _try_send(net, f"probe{n}", channel.node_a, [cid], amount)
+        if reason is FailureReason.SLOT_FULL:
+            probes_blocked += 1
+        else:
+            failures.append(f"probe through {cid} was not blocked ({reason})")
+    return VerificationReport(
+        plan_kind=plan_kind,
+        ok=not failures,
+        failures=failures,
+        channels_targeted=len(targeted),
+        channels_locked=locked,
+        probes_attempted=len(targeted),
+        probes_blocked=probes_blocked,
+        payments_sent=payments_sent,
+        attacker_channels_opened=attacker_channels,
+        min_lock_duration=min((lock for _, lock in locks), default=None),
+        route_lock_durations=locks,
     )
 
 
@@ -754,20 +683,28 @@ def execute_plan(
     graph: NetworkGraph,
     labels: Mapping[str, ImplLabel],
     defaults: DefaultsTable = MAINNET_DEFAULTS,
-    balance_split: float = 0.5,
 ) -> VerificationReport:
-    """Replay a plan on a simulated instantiation of the graph.
+    """Replay a plan on a simulated instantiation of the channels it targets.
 
     Opens the attacker's channels, sends every held payment, then checks
     that each targeted channel sits exactly at its slot limit and that a
-    probe payment through it fails with SlotFull.
+    probe payment through it fails with SlotFull. No other channel would
+    carry a payment or a probe, so none is built.
     """
     if isinstance(plan, AttackPlan):
-        report = _execute_network_plan(plan, graph, labels, defaults, balance_split)
+        kind = "network-attack"
+        targeted = sorted({h.channel_id for r in plan.routes for h in r.hops})
     elif isinstance(plan, IsolationPlan):
-        report = _execute_isolation_plan(plan, graph, labels, defaults, balance_split)
+        kind = "isolation"
+        targeted = [iso.channel_id for iso in plan.per_channel]
     else:
         raise TypeError(f"unsupported plan type {type(plan).__name__}")
+    net = SimNetwork.from_graph(graph.subgraph(targeted), labels, defaults)
+    if isinstance(plan, AttackPlan):
+        failures, locks = _attack_network(net, plan, graph, labels, defaults)
+    else:
+        failures, locks = _attack_isolation(net, plan)
+    report = _check_and_report(net, kind, targeted, failures, locks)
     if not report.ok:
         logger.warning(
             "plan verification found %d problem(s): %s",

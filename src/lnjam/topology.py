@@ -29,6 +29,10 @@ MAX_CLTV_DELTA = 5 * 10**8
 # Ceiling on a payment's total locktime, blocks (two weeks).
 LOCKTIME_MAX = 2016
 
+# Share of a channel's capacity assumed on its endpoint_a side. Snapshots
+# don't reveal balances, so replay splits every channel evenly.
+BALANCE_SPLIT = 0.5
+
 # Policy fields a histogram can be computed over.
 HISTOGRAM_PARAMETERS = (
     "cltv_expiry_delta",

@@ -1,12 +1,13 @@
 """Command-line interface: outputs, exit codes, reproducibility."""
 
+import copy
 import json
 
 import pytest
 
 from lnjam import partition
 from lnjam.cli import main
-from lnjam.topology import parse_snapshot, serialize_snapshot
+from lnjam.topology import build_graph, parse_snapshot, serialize_snapshot
 
 import netgen
 
@@ -177,10 +178,48 @@ def test_simulate_failing_scenario_exits_4(tmp_path, capsys):
 
 def test_verify_plan_rejects_malformed_input(snapshot_file, tmp_path, capsys):
     bogus = tmp_path / "plan.json"
-    bogus.write_text(json.dumps({"kind": "sandwich"}))
-    assert main(["verify-plan", "--snapshot", str(snapshot_file), "--plan", str(bogus)]) == 2
-    bogus.write_text("not json")
-    assert main(["verify-plan", "--snapshot", str(snapshot_file), "--plan", str(bogus)]) == 2
+
+    def verify(doc):
+        bogus.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        return main(["verify-plan", "--snapshot", str(snapshot_file), "--plan", str(bogus)])
+
+    assert verify({"kind": "sandwich"}) == 2
+    assert verify("not json") == 2
+
+    network_path, node_path = tmp_path / "network.json", tmp_path / "node.json"
+    assert main([
+        "attack-network", "--snapshot", str(snapshot_file),
+        "--output", str(tmp_path / "rows.csv"), "--plan-out", str(network_path),
+    ]) == 0
+    assert main([
+        "attack-node", "--snapshot", str(snapshot_file), "--victim", "n003",
+        "--output", str(node_path),
+    ]) == 0
+    network = json.loads(network_path.read_text())
+    isolation = json.loads(node_path.read_text())["plan"]
+    graph = build_graph(parse_snapshot(snapshot_file.read_text()))
+    far = next(cid for cid in graph.channel_ids if cid not in graph.channels_of("n003"))
+    assert len(network["routes"][0]["hops"]) > 1
+
+    def edited(doc, edit):
+        doc = copy.deepcopy(doc)
+        edit(doc)
+        return doc
+
+    for doc in (
+        edited(network, lambda d: d["routes"][0]["hops"][0].update(channel_id="nope")),
+        edited(network, lambda d: d.pop("routes")),
+        edited(network, lambda d: d["routes"][0]["hops"][0].update({"from": "n999"})),
+        edited(network, lambda d: d["routes"][0].update(slot_class="many")),
+        edited(network, lambda d: d["routes"][0].update(slot_class=0)),
+        edited(network, lambda d: d["routes"][0]["hops"].reverse()),
+        edited(isolation, lambda d: d["per_channel"][0].update(channel_id="nope")),
+        edited(isolation, lambda d: d["per_channel"][0].update(channel_id=far)),
+    ):
+        assert verify(doc) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 10
+    assert "Traceback" not in err
 
 
 def test_csv_output_is_byte_identical_across_runs(snapshot_file, tmp_path):

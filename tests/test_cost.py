@@ -11,7 +11,6 @@ from lnjam.cost import (
     hop_amounts_msat,
     payment_amount_for_route,
     price_plan,
-    required_channel_balance,
 )
 from lnjam.inference import tag_nodes
 from lnjam.planner import PlannerConfig, choose_routes, plan_network_attack
@@ -181,14 +180,3 @@ def test_locked_liquidity_usd_conversion():
     doc = report.to_json_dict()
     assert doc["assumptions"]["usd_per_open"] == USD_PER_CHANNEL_OPEN
     assert doc["per_route"][0]["route_index"] == 1
-
-
-def test_required_balance_covers_every_slot():
-    graph, labels = _lnd_line(2)
-    route = choose_routes(graph, PlannerConfig())[0]
-    assert route.payment_amount_msat is None
-    with pytest.raises(ValueError, match="unpriced"):
-        required_channel_balance(route)
-    assert required_channel_balance(route, graph, labels) == 483 * 575002
-    route.payment_amount_msat = 600_000
-    assert required_channel_balance(route) == 483 * 600_000

@@ -3,8 +3,9 @@
 import pytest
 
 from lnjam.inference import (
-    DEFAULT_WEIGHTS,
-    InferenceWeights,
+    CLTV_DELTA_WEIGHT,
+    FEE_RATE_WEIGHT,
+    HTLC_MINIMUM_WEIGHT,
     announced_policies,
     score_node,
     split_by_slot_class,
@@ -115,9 +116,8 @@ def test_synthetic_mix_is_tagged_exactly(mixed_mesh):
 
 
 def test_weights_must_sum_to_one():
-    with pytest.raises(ValueError):
-        InferenceWeights(0.6, 0.2, 0.1)
-    assert DEFAULT_WEIGHTS.cltv_expiry_delta == pytest.approx(0.75)
+    assert CLTV_DELTA_WEIGHT == pytest.approx(0.75)
+    assert CLTV_DELTA_WEIGHT + HTLC_MINIMUM_WEIGHT + FEE_RATE_WEIGHT == pytest.approx(1.0)
 
 
 def test_split_by_slot_class(mixed_mesh):

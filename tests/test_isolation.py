@@ -12,10 +12,13 @@ from lnjam.isolation import (
     plan_isolation,
 )
 from lnjam.inference import tag_nodes
-from lnjam.simulator import execute_plan
+from lnjam.planner import plan_network_attack
+from lnjam.simulator import SimNetwork, execute_plan
 from lnjam.topology import (
     MAINNET_DEFAULTS,
+    GraphChannel,
     ImplLabel,
+    NetworkGraph,
     apply_slot_limits,
     build_graph,
     parse_snapshot,
@@ -207,3 +210,38 @@ def test_attached_slot_limits_change_no_plan_or_replay(mixed_mesh):
         assert plans[0].to_json_dict() == plans[1].to_json_dict()
         reports = [execute_plan(plans[0], g, labels) for g in (graph, limited)]
         assert reports[0].to_json_dict() == reports[1].to_json_dict()
+
+
+def test_replay_builds_only_the_plans_channels(mixed_mesh, monkeypatch):
+    # A component the plan never touches changes no report and is never built.
+    _, graph, labels = mixed_mesh
+    policy = next(graph.channels()).policy_a_to_b
+    island = [
+        GraphChannel(f"island{i}", f"far{i}", f"far{i + 1}", 5_000_000, policy, policy)
+        for i in range(3)
+    ]
+    wider = NetworkGraph([*graph.channels(), *island])
+    wider_labels = {**labels, **{f"far{i}": ImplLabel.LND for i in range(4)}}
+    built = []
+    from_graph = SimNetwork.from_graph
+
+    def spy(g, *args):
+        built.append(set(g.channel_ids))
+        return from_graph(g, *args)
+
+    monkeypatch.setattr(SimNetwork, "from_graph", spy)
+    victim = max(graph.nodes, key=graph.degree)
+    isolation_plan = plan_isolation(graph, labels, victim=victim)
+    network_plan = plan_network_attack(graph, labels, budget_channels=6)
+    for plan, targeted in (
+        (isolation_plan, set(graph.channels_of(victim))),
+        (network_plan, {h.channel_id for r in network_plan.routes for h in r.hops}),
+    ):
+        reports = [
+            execute_plan(plan, g, lab).to_json_dict()
+            for g, lab in ((graph, labels), (wider, wider_labels))
+        ]
+        assert reports[0] == reports[1]
+        assert built == [targeted, targeted]
+        built.clear()
+    assert len(set(graph.channels_of(victim))) == graph.degree(victim)

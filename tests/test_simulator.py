@@ -334,8 +334,6 @@ def test_from_graph_splits_balances_and_sets_dust():
         assert max(ch.balances.values()) - min(ch.balances.values()) <= 1
         assert ch.dust_limit_sat == 573
         assert ch.slot_limit == 30
-    with pytest.raises(ValueError, match="balance_split"):
-        SimNetwork.from_graph(graph, labels, balance_split=1.5)
 
 
 # -- scenario scripts ---------------------------------------------------------
