@@ -6,8 +6,8 @@ metadata header (tool version plus a config echo); the body below it is
 byte-identical across runs on identical inputs.
 
 Exit codes: 0 success, 1 usage error, 2 unreadable or malformed input,
-3 infeasible configuration (including a spectral cut that does not
-converge), 4 assertion or verification failure.
+3 infeasible configuration (including a spectral cut whose eigensolve
+fails), 4 assertion or verification failure.
 """
 
 from __future__ import annotations
@@ -63,12 +63,6 @@ PARAM_ALIASES = {
     "min_htlc": "htlc_minimum_msat",
     "fee_base": "fee_base_msat",
     "fee_rate": "fee_proportional_millionths",
-}
-
-_METHODS = {
-    "betweenness": DisconnectionMethod.GREEDY_BETWEENNESS,
-    "spectral": DisconnectionMethod.SPECTRAL,
-    "kl": DisconnectionMethod.KERNIGHAN_LIN,
 }
 
 _IMPLS = {label.value: label for label in ImplLabel}
@@ -205,9 +199,8 @@ def cmd_attack_network(args: argparse.Namespace) -> int:
     config = _planner_config(args)
 
     if args.sweep_days:
-        days = [float(x) for x in args.sweep_days.split(",")]
         plans = lock_period_sweep(
-            graph, labels, days, config=config, budget_channels=args.budget
+            graph, labels, args.sweep_days, config=config, budget_channels=args.budget
         )
         rows = [
             [f"{d:g}", plan.tau_min, plan.attacker_channels,
@@ -222,9 +215,8 @@ def cmd_attack_network(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.sweep_route_limit:
-        limits = [int(x) for x in args.sweep_route_limit.split(",")]
         plans = route_length_sweep(
-            graph, labels, limits, config=config, budget_channels=args.budget
+            graph, labels, args.sweep_route_limit, config=config, budget_channels=args.budget
         )
         rows = [
             [limit, plan.attacker_channels, f"{plan.locked_capacity_fraction:.6f}"]
@@ -271,7 +263,7 @@ def cmd_attack_connectivity(args: argparse.Namespace) -> int:
     _, graph, labels = _load_graph_and_labels(args.snapshot)
     config = _planner_config(args)
     report, plan = plan_disconnection(
-        graph, labels, MAINNET_DEFAULTS, config, _METHODS[args.method], args.budget
+        graph, labels, MAINNET_DEFAULTS, config, DisconnectionMethod(args.method), args.budget
     )
     rows = [[n, f"{fraction:.6f}"] for n, fraction in report.curve]
     header = _meta(args, method=args.method, budget=args.budget, tau_min=args.tau_min)
@@ -420,6 +412,20 @@ def cmd_verify_plan(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+def _comma_list(item_type):
+    """argparse type: a comma-separated list of ``item_type`` values."""
+
+    def parse(text: str) -> list:
+        try:
+            return [item_type(x) for x in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated list of {item_type.__name__}: {text!r}"
+            )
+
+    return parse
+
+
 def _add_planner_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget", type=int, default=None,
                      help="attacker channel budget (default: unlimited)")
@@ -427,7 +433,7 @@ def _add_planner_flags(sub: argparse.ArgumentParser) -> None:
                      help="minimum lock duration in blocks (default 432, three days)")
     sub.add_argument("--max-route-channels", type=int, default=18,
                      help="victim channels per route (default 18)")
-    sub.add_argument("--weight", choices=["capacity", "betweenness"], default="capacity",
+    sub.add_argument("--weight", choices=[m.value for m in WeightMode], default="capacity",
                      help="channel weight driving greedy selection")
 
 
@@ -462,17 +468,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("attack-network", help="plan a capacity-lockup attack")
     p.add_argument("--snapshot", required=True)
     _add_planner_flags(p)
-    p.add_argument("--sweep-days", default=None,
-                   help="comma-separated lock periods in days; one plan per value")
-    p.add_argument("--sweep-route-limit", default=None,
-                   help="comma-separated max route hops; one plan per value")
+    sweep_or_plan = p.add_mutually_exclusive_group()
+    sweep_or_plan.add_argument("--sweep-days", type=_comma_list(float), default=None,
+                               help="comma-separated lock periods in days; one plan per value")
+    sweep_or_plan.add_argument("--sweep-route-limit", type=_comma_list(int), default=None,
+                               help="comma-separated max route hops; one plan per value")
+    sweep_or_plan.add_argument("--plan-out", default=None, help="also write the plan JSON here")
     p.add_argument("--output", default="-")
-    p.add_argument("--plan-out", default=None, help="also write the plan JSON here")
     p.set_defaults(func=cmd_attack_network)
 
     p = subs.add_parser("attack-connectivity", help="plan a partition attack")
     p.add_argument("--snapshot", required=True)
-    p.add_argument("--method", choices=sorted(_METHODS), default="betweenness")
+    p.add_argument("--method", choices=sorted(m.value for m in DisconnectionMethod),
+                   default="betweenness")
     _add_planner_flags(p)
     p.add_argument("--output", default="-")
     p.add_argument("--plan-out", default=None)

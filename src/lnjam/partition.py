@@ -26,27 +26,15 @@ from .topology import (
     NetworkGraph,
     apply_slot_limits,
 )
-from .inference import split_by_slot_class
 
 logger = logging.getLogger(__name__)
-
-# Shifted power iteration controls for the Fiedler vector.
-POWER_ITERATION_TOL = 1e-8
-POWER_ITERATION_CAP = 10**5
 
 # Fiedler coordinates closer to zero than this count as positive.
 SIGN_EPSILON = 1e-10
 
 
 class NonConvergenceError(Exception):
-    """Power iteration missed the residual tolerance within the cap."""
-
-    def __init__(self, residual: float, iterations: int):
-        super().__init__(
-            f"power iteration residual {residual:.3e} after {iterations} iterations"
-        )
-        self.residual = residual
-        self.iterations = iterations
+    """The Laplacian eigensolve failed (``np.linalg.LinAlgError``)."""
 
 
 class DisconnectionMethod(Enum):
@@ -206,11 +194,12 @@ def _orient_sides(
 def fiedler_cut(graph: NetworkGraph) -> CutResult:
     """Spectral bisection of the largest component.
 
-    Finds the Laplacian eigenvector of the second-smallest eigenvalue by
-    shifted power iteration (deflating the constant vector), then splits
+    Takes the Laplacian eigenvector of the second-smallest eigenvalue from a
+    dense eigendecomposition (parallel channels add weight), then splits
     nodes by coordinate sign; near-zero coordinates land on the positive
-    side. Raises :class:`NonConvergenceError` if the eigenpair residual
-    stays above tolerance for the whole iteration budget.
+    side. When that eigenvalue repeats, the eigenvector ``np.linalg.eigh``
+    returns decides the sides, which is deterministic for a given numpy
+    build. Raises :class:`NonConvergenceError` if the eigensolve fails.
     """
     components = connected_components(graph)
     if not components or len(components[0]) < 3:
@@ -229,32 +218,10 @@ def fiedler_cut(graph: NetworkGraph) -> CutResult:
         lap[i, i] += 1.0
         lap[j, j] += 1.0
 
-    # B = cI - L is positive semidefinite with the Fiedler vector as its
-    # dominant eigenvector once the constant direction is projected out.
-    shift = 2.0 * lap.diagonal().max() + 1.0
-    v = np.sin(np.arange(1, n + 1, dtype=float))
-    v -= v.mean()
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:  # pragma: no cover - sin ramp never collapses
-        v = np.ones(n)
-        v[0] = -(n - 1)
-        norm = np.linalg.norm(v)
-    v /= norm
-
-    residual = np.inf
-    for iteration in range(1, POWER_ITERATION_CAP + 1):
-        w = shift * v - lap @ v
-        w -= w.mean()
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:  # pragma: no cover - defensive
-            raise NonConvergenceError(residual=float("inf"), iterations=iteration)
-        v = w / norm
-        eigenvalue = float(v @ (lap @ v))
-        residual = float(np.linalg.norm(lap @ v - eigenvalue * v))
-        if residual <= POWER_ITERATION_TOL:
-            break
-    else:
-        raise NonConvergenceError(residual=residual, iterations=POWER_ITERATION_CAP)
+    try:
+        v = np.linalg.eigh(lap)[1][:, 1]
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(str(exc)) from exc
 
     # Fix the sign so repeated runs produce the same orientation.
     for x in v:
@@ -263,10 +230,7 @@ def fiedler_cut(graph: NetworkGraph) -> CutResult:
                 v = -v
             break
     positive = {comp[i] for i in range(n) if v[i] > -SIGN_EPSILON}
-    negative = set(comp) - positive
-    if not negative:  # pragma: no cover - zero-sum vector always has both signs
-        raise NonConvergenceError(residual=residual, iterations=POWER_ITERATION_CAP)
-    return _orient_sides(graph, positive, negative)
+    return _orient_sides(graph, positive, set(comp) - positive)
 
 
 def kernighan_lin_cut(graph: NetworkGraph) -> CutResult:
@@ -322,18 +286,6 @@ def kernighan_lin_cut(graph: NetworkGraph) -> CutResult:
     return _orient_sides(graph, side_a, side_b)
 
 
-def _routes_for_cut(
-    working: NetworkGraph,
-    cut_channels: Iterable[str],
-    config: planner.PlannerConfig,
-) -> list[planner.AttackRoute]:
-    routes: list[planner.AttackRoute] = []
-    for sub in split_by_slot_class(working.subgraph(cut_channels)):
-        routes.extend(planner.choose_routes(sub, config))
-    routes.sort(key=lambda r: (-r.weight, r.hops[0].channel_id))
-    return routes
-
-
 def plan_disconnection(
     graph: NetworkGraph,
     labels: Mapping[str, ImplLabel],
@@ -346,9 +298,10 @@ def plan_disconnection(
 
     GreedyBetweenness locks the most-traversed channels first (the planner
     with betweenness weights). Spectral and KernighanLin compute an explicit
-    cut of the largest component, lock the cut channels, and recurse on the
-    largest remaining component while budget lasts. The report's curve gives
-    the connected-pairs fraction after each route's channels drop out.
+    cut of the largest component, plan its channels with the same planner
+    in the budget left, and recurse on the largest remaining component
+    while budget lasts. The report's curve gives the connected-pairs
+    fraction after each route's channels drop out.
     """
     if not isinstance(method, DisconnectionMethod):
         raise ValueError(f"unknown disconnection method {method!r}")
@@ -357,47 +310,34 @@ def plan_disconnection(
     baseline = connected_pairs_fraction(graph)
 
     if budget_channels is not None and budget_channels < 2:
-        report = ConnectivityReport(method=method, curve=[(0, baseline)])
-        empty = planner.AttackPlan(
-            routes=[],
-            total_capacity_sat=graph.total_capacity_sat,
-            tau_min=config.tau_min,
-            uncovered_channel_ids=tuple(sorted(graph.channel_ids)),
-        )
-        return report, empty
-
-    if method is DisconnectionMethod.GREEDY_BETWEENNESS:
-        cfg = replace(config, weight_mode=planner.WeightMode.BETWEENNESS)
-        plan = planner.plan_network_attack(graph, labels, defaults, cfg, budget_channels)
-    else:
-        min_component = 3 if method is DisconnectionMethod.SPECTRAL else 4
-        working = graph
         routes: list[planner.AttackRoute] = []
+    elif method is DisconnectionMethod.GREEDY_BETWEENNESS:
+        cfg = replace(config, weight_mode=planner.WeightMode.BETWEENNESS)
+        routes = planner.plan_network_attack(graph, labels, defaults, cfg, budget_channels).routes
+    else:
+        if method is DisconnectionMethod.SPECTRAL:
+            find_cut, min_component = fiedler_cut, 3
+        else:
+            find_cut, min_component = kernighan_lin_cut, 4
+        working = graph
+        routes = []
         while budget_channels is None or 2 * len(routes) + 2 <= budget_channels:
             components = connected_components(working)
             if not components or len(components[0]) < min_component:
                 break
-            if method is DisconnectionMethod.SPECTRAL:
-                cut = fiedler_cut(working)
-            else:
-                cut = kernighan_lin_cut(working)
-            new_routes = _routes_for_cut(working, cut.cut_channel_ids, config)
-            if budget_channels is not None:
-                room = (budget_channels - 2 * len(routes)) // 2
-                new_routes = new_routes[:room]
+            room = None if budget_channels is None else budget_channels - 2 * len(routes)
+            new_routes = planner.plan_network_attack(
+                working.subgraph(find_cut(working).cut_channel_ids),
+                labels, defaults, config, room,
+            ).routes
             if not new_routes:
                 # Cut exists but none of its channels can be locked.
                 break
             routes.extend(new_routes)
-            locked = {h.channel_id for r in new_routes for h in r.hops}
-            working = working.without_channels(locked)
-        covered = {h.channel_id for r in routes for h in r.hops}
-        plan = planner.AttackPlan(
-            routes=routes,
-            total_capacity_sat=graph.total_capacity_sat,
-            tau_min=config.tau_min,
-            uncovered_channel_ids=tuple(sorted(set(graph.channel_ids) - covered)),
-        )
+            working = working.without_channels(
+                cid for r in new_routes for cid in r.channel_ids
+            )
+    plan = planner.AttackPlan.covering(graph, routes, config.tau_min)
 
     curve = [(0, baseline)]
     locked: set[str] = set()

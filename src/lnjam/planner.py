@@ -130,6 +130,19 @@ class AttackPlan:
     tau_min: int
     uncovered_channel_ids: tuple[str, ...] = ()
 
+    @classmethod
+    def covering(
+        cls, graph: NetworkGraph, routes: list[AttackRoute], tau_min: int
+    ) -> "AttackPlan":
+        """Plan of ``routes`` over ``graph``; every channel off them is uncovered."""
+        covered = {cid for r in routes for cid in r.channel_ids}
+        return cls(
+            routes=routes,
+            total_capacity_sat=graph.total_capacity_sat,
+            tau_min=tau_min,
+            uncovered_channel_ids=tuple(sorted(set(graph.channel_ids) - covered)),
+        )
+
     @property
     def attacker_channels(self) -> int:
         return 2 * len(self.routes)
@@ -364,14 +377,7 @@ def plan_network_attack(
     routes.sort(key=lambda r: (-r.weight, r.hops[0].channel_id))
     if budget_channels is not None:
         routes = routes[: budget_channels // 2]
-    covered = {h.channel_id for r in routes for h in r.hops}
-    uncovered = tuple(sorted(set(graph.channel_ids) - covered))
-    plan = AttackPlan(
-        routes=routes,
-        total_capacity_sat=graph.total_capacity_sat,
-        tau_min=config.tau_min,
-        uncovered_channel_ids=uncovered,
-    )
+    plan = AttackPlan.covering(graph, routes, config.tau_min)
     logger.info(
         "planned %d routes (%d attacker channels), locking %.1f%% of capacity",
         len(routes),

@@ -158,3 +158,20 @@ def barbell_snapshot(k=6) -> Snapshot:
         channel_json("bridge", f"a{k-1}", f"b{k-1}", 6_000_000, policy_json(lnd), policy_json(lnd))
     )
     return parse_snapshot(snapshot_json(nodes, channels))
+
+
+def ring_snapshot(n=60) -> Snapshot:
+    """An all-LND ring n00-n01-...-n00 whose n00-n01 channel is doubled.
+
+    The ring's two smallest non-zero Laplacian eigenvalues are equal; the
+    doubled channel splits them only slightly, which iterative eigensolvers
+    converge on slowly. Its best bisection cuts two single channels.
+    """
+    nodes = [f"n{i:02d}" for i in range(n)]
+    pairs = [(nodes[i], nodes[(i + 1) % n]) for i in range(n)] + [(nodes[0], nodes[1])]
+    policy = policy_json(DEFAULTS_BY_NAME["lnd"])
+    channels = [
+        channel_json(f"r{i:02d}", a, b, 1_000_000, policy, policy)
+        for i, (a, b) in enumerate(pairs)
+    ]
+    return parse_snapshot(snapshot_json(nodes, channels))

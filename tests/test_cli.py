@@ -3,6 +3,7 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 
 from lnjam import partition
@@ -232,13 +233,39 @@ def test_csv_output_is_byte_identical_across_runs(snapshot_file, tmp_path):
 
 
 def test_spectral_non_convergence_is_infeasible(snapshot_file, monkeypatch, capsys):
-    monkeypatch.setattr(partition, "POWER_ITERATION_CAP", 1)
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(partition.np.linalg, "eigh", fail)
     code = main([
         "attack-connectivity", "--snapshot", str(snapshot_file),
         "--method", "spectral", "--budget", "12",
     ])
     assert code == 3
     err = capsys.readouterr().err
+    assert "infeasible:" in err
+    assert "Traceback" not in err
+
+
+def test_spectral_cut_of_a_doubled_ring(tmp_path):
+    path = tmp_path / "ring.json"
+    path.write_text(serialize_snapshot(netgen.ring_snapshot()))
+    assert main(["attack-connectivity", "--snapshot", str(path), "--method", "spectral"]) == 0
+
+
+def test_attack_network_flag_misuse_is_a_usage_error(snapshot_file, tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    for flags in (
+        ["--sweep-days", "1,x"],
+        ["--sweep-route-limit", "12,x"],
+        ["--sweep-days", "1", "--sweep-route-limit", "12"],
+        ["--sweep-route-limit", "12", "--plan-out", str(plan_path)],
+    ):
+        assert main(["attack-network", "--snapshot", str(snapshot_file), *flags]) == 1, flags
+    assert not plan_path.exists()
+    assert main(["attack-network", "--snapshot", str(snapshot_file), "--sweep-days", "15"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error: argument") == 4
     assert "infeasible:" in err
     assert "Traceback" not in err
 

@@ -217,6 +217,13 @@ def test_fiedler_cut_is_deterministic(barbell):
     assert first.cut_channel_ids == second.cut_channel_ids
 
 
+def test_fiedler_cut_halves_a_ring_with_a_doubled_channel():
+    cut = fiedler_cut(build_graph(netgen.ring_snapshot()))
+    assert len(cut.side_a) == len(cut.side_b) == 30
+    assert cut.cut_size == 2
+    assert "r00" not in cut.cut_channel_ids and "r60" not in cut.cut_channel_ids
+
+
 def test_fiedler_matches_dense_eigendecomposition():
     checked = 0
     for seed in range(14):
@@ -298,6 +305,20 @@ def test_disconnection_curve_is_monotone_and_budgeted(mixed_mesh):
         assert plan.attacker_channels <= 16
         fractions = [f for _, f in report.curve]
         assert all(b <= a + 1e-12 for a, b in zip(fractions, fractions[1:]))
+
+
+def test_plan_routes_and_uncovered_channels_partition_the_graph(mixed_mesh):
+    _, graph, labels = mixed_mesh
+    for method in DisconnectionMethod:
+        for budget in (None, 16):
+            _, plan = plan_disconnection(
+                graph, labels, MAINNET_DEFAULTS, PlannerConfig(), method, budget
+            )
+            routed = [cid for r in plan.routes for cid in r.channel_ids]
+            uncovered = set(plan.uncovered_channel_ids)
+            assert len(routed) == len(set(routed)), (method, budget)
+            assert not uncovered & set(routed), (method, budget)
+            assert uncovered | set(routed) == set(graph.channel_ids), (method, budget)
 
 
 def test_tiny_budget_returns_baseline_only(lnd_mesh):
