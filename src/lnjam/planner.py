@@ -12,10 +12,20 @@ only ``slot_class`` payments and two attacker channels.
 Routes are chosen greedily by weight (channel capacity, or edge betweenness
 for connectivity attacks), heaviest first, always extending at the head
 while the locktime budget allows.
+
+With capacity weights the seeds come from one sorted order, and a plan that
+keeps only its ``k`` heaviest routes stops early. Every later route starts at
+a seed no heavier than the next one and holds at most ``max_route_channels``
+channels, none heavier than that seed. So once ``max_route_channels`` times
+the next seed's weight is strictly below the ``k``-th heaviest route so far,
+no later route can be kept, and planning stops. Betweenness weights are
+recomputed on the residual graph, where a weight can rise, so that mode
+plans the whole graph.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -254,21 +264,28 @@ def _channel_weights(graph: NetworkGraph, config: PlannerConfig) -> dict[str, fl
 
 
 def choose_routes(
-    graph: NetworkGraph, config: PlannerConfig = PlannerConfig()
+    graph: NetworkGraph, config: PlannerConfig = PlannerConfig(), keep: int | None = None
 ) -> list[AttackRoute]:
     """Partition a uniform-slot-class graph into attack routes.
 
     Channels whose best-direction delta already exceeds the locktime budget
     cannot appear on any route and are skipped (callers can diff against the
-    graph to report them). Everything else lands on exactly one route.
+    graph to report them). Everything else lands on exactly one route, unless
+    ``keep`` stops planning early.
 
     Args:
         graph: channels to cover; every ``slot_limit`` must be set and equal.
         config: locktime and ordering knobs.
+        keep: how many of the heaviest routes the caller will keep; None
+            means all. Capacity mode stops early by the rule in the module
+            docstring; betweenness mode ignores it.
 
     Returns:
-        Routes in selection order (heaviest seed first).
+        Routes in selection order (heaviest seed first). With ``keep``, the
+        ``keep`` heaviest routes of the full partition are among them.
     """
+    if keep is not None and keep < 1:
+        raise InfeasibleConfigError(f"cannot keep {keep} routes")
     if len(graph) == 0:
         return []
     classes = {ch.slot_limit for ch in graph.channels()}
@@ -286,19 +303,32 @@ def choose_routes(
     if dropped:
         logger.info("%d channels exceed the locktime budget and are skipped", dropped)
 
+    def seed_key(cid: str):
+        return (-w.get(cid, 0.0), graph.channel(cid).min_delta, cid)
+
+    # Betweenness is recomputed on the residual graph before each route, and
+    # a channel's weight can rise there. So that mode cannot take its seeds
+    # from one sorted order, nor bound a later route by the current seed.
     recompute = config.weight_mode is WeightMode.BETWEENNESS
     w = {} if recompute else _channel_weights(graph, config)
+    order = [] if recompute else sorted(remaining, key=seed_key)
+    cursor = 0
+    heaviest: list[float] = []  # min-heap of the `keep` heaviest route weights
 
     routes: list[AttackRoute] = []
     while remaining:
         if recompute:
             w = _channel_weights(graph.subgraph(remaining), config)
-
-        def seed_key(cid: str):
-            ch = graph.channel(cid)
-            return (-w.get(cid, 0.0), ch.min_delta, cid)
-
-        seed_id = min(remaining, key=seed_key)
+            seed_id = min(remaining, key=seed_key)
+        else:
+            while order[cursor] not in remaining:
+                cursor += 1
+            seed_id = order[cursor]
+            # Capacities are integers, so route weights are exact sums and
+            # the bound holds without rounding slack. Strict, because a tied
+            # route may still win on its first channel id.
+            if len(heaviest) == keep and config.max_route_channels * w[seed_id] < heaviest[0]:
+                break
         remaining.discard(seed_id)
         seed = graph.channel(seed_id)
 
@@ -346,6 +376,9 @@ def choose_routes(
                 capacity_sat=sum(graph.channel(h.channel_id).capacity_sat for h in hops),
             )
         )
+        if keep is not None:
+            push = heapq.heappush if len(heaviest) < keep else heapq.heappushpop
+            push(heaviest, routes[-1].weight)
     return routes
 
 
@@ -363,6 +396,13 @@ def plan_network_attack(
     Routes are then ranked by weight and truncated to the attacker-channel
     budget: each route costs two channels.
 
+    A budget keeps ``k = budget_channels // 2`` routes. With capacity weights
+    each class stops planning once ``max_route_channels`` times the next
+    seed's weight is strictly below its ``k``-th heaviest route so far (see
+    :func:`choose_routes`). No later route of that class could reach the
+    top ``k``, so the merged, sorted and truncated plan is the same as from
+    a full partition.
+
     Args:
         budget_channels: attacker channels available; None means unlimited.
     """
@@ -370,13 +410,13 @@ def plan_network_attack(
         raise InfeasibleConfigError(
             f"budget of {budget_channels} attacker channels cannot fund a route"
         )
+    keep = None if budget_channels is None else budget_channels // 2
     graph = apply_slot_limits(graph, labels, defaults)
     routes: list[AttackRoute] = []
     for sub in split_by_slot_class(graph):
-        routes.extend(choose_routes(sub, config))
+        routes.extend(choose_routes(sub, config, keep))
     routes.sort(key=lambda r: (-r.weight, r.hops[0].channel_id))
-    if budget_channels is not None:
-        routes = routes[: budget_channels // 2]
+    routes = routes[:keep]
     plan = AttackPlan.covering(graph, routes, config.tau_min)
     logger.info(
         "planned %d routes (%d attacker channels), locking %.1f%% of capacity",
@@ -426,7 +466,7 @@ def lock_period_sweep(
     """
     plans = []
     for d in days:
-        if d <= 0 or d >= 14:
+        if not 0 < d < 14:
             raise InfeasibleConfigError(f"lock period of {d} days is outside (0, 14)")
         cfg = replace(config, tau_min=math.ceil(BLOCKS_PER_DAY * d))
         plans.append((d, plan_network_attack(graph, labels, defaults, cfg, budget_channels)))

@@ -270,6 +270,14 @@ def test_attack_network_flag_misuse_is_a_usage_error(snapshot_file, tmp_path, ca
     assert "Traceback" not in err
 
 
+def test_nan_lock_period_is_out_of_range(snapshot_file, capsys):
+    assert main(["attack-network", "--snapshot", str(snapshot_file), "--sweep-days", "nan"]) == 3
+    err = capsys.readouterr().err
+    assert "infeasible:" in err
+    assert "outside (0, 14)" in err
+    assert "Traceback" not in err
+
+
 def test_attack_node_output_verifies(snapshot_file, tmp_path, capsys):
     # The README workflow: attack-node --output, then verify-plan --plan.
     plan_path = tmp_path / "plan.json"
