@@ -464,6 +464,8 @@ def lock_period_sweep(
     no locktime budget at all (144 * 14 = 2016) and raise
     :class:`InfeasibleConfigError`.
     """
+    # Limited once here, the graph passes through each point's plan as it is.
+    graph = apply_slot_limits(graph, labels, defaults)
     plans = []
     for d in days:
         if not 0 < d < 14:
@@ -486,6 +488,8 @@ def route_length_sweep(
     A limit of ``h`` hops leaves ``h - 2`` victim channels per route after
     the attacker's entry and exit. Limits outside [3, 20] are rejected.
     """
+    # Limited once here, the graph passes through each point's plan as it is.
+    graph = apply_slot_limits(graph, labels, defaults)
     plans = []
     for limit in max_hops:
         if not 3 <= limit <= MAX_ROUTE_HOPS:

@@ -1,11 +1,17 @@
 """Connectivity metrics, betweenness, and the three partition methods."""
 
-from collections import Counter
+import logging
+import math
+import random
+from collections import Counter, defaultdict, deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lnjam import partition
 from lnjam.partition import (
+    BETWEENNESS_BLOCK_CELLS,
     DisconnectionMethod,
     connected_components,
     connected_pairs_fraction,
@@ -15,7 +21,7 @@ from lnjam.partition import (
     plan_disconnection,
 )
 from lnjam.planner import PlannerConfig, WeightMode
-from lnjam.topology import MAINNET_DEFAULTS, build_graph, parse_snapshot
+from lnjam.topology import MAINNET_DEFAULTS, NetworkGraph, build_graph, parse_snapshot
 
 import netgen
 
@@ -94,6 +100,54 @@ def brute_force_betweenness(graph):
         for pair, cids in pair_channels.items()
         for cid in cids
     }
+
+
+def reference_edge_betweenness(graph):
+    """Brandes' accumulation as one dict-based BFS per source, in sorted order.
+
+    The array kernel keeps this loop's order of every floating-point sum, so
+    its scores must equal these exactly.
+    """
+    adj = defaultdict(set)
+    for ch in graph.channels():
+        adj[ch.endpoint_a].add(ch.endpoint_b)
+        adj[ch.endpoint_b].add(ch.endpoint_a)
+    adj = {node: sorted(peers) for node, peers in adj.items()}
+    pair_score = defaultdict(float)
+
+    for source in sorted(adj):
+        # BFS from source: shortest-path counts and predecessor lists.
+        dist = {source: 0}
+        sigma = {source: 1.0}
+        preds = defaultdict(list)
+        order = []
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] = sigma.get(w, 0.0) + sigma[v]
+                    preds[w].append(v)
+        # Dependency accumulation in reverse BFS order.
+        delta = {v: 0.0 for v in order}
+        for w in reversed(order):
+            for v in preds[w]:
+                contrib = sigma[v] / sigma[w] * (1.0 + delta[w])
+                key = (v, w) if v < w else (w, v)
+                pair_score[key] += contrib
+                delta[v] += contrib
+
+    scores = {}
+    for ch in graph.channels():
+        a, b = ch.endpoint_a, ch.endpoint_b
+        key = (a, b) if a < b else (b, a)
+        # Every pair was accumulated from both endpoints' BFS trees.
+        scores[ch.channel_id] = pair_score.get(key, 0.0) / 2.0
+    return scores
 
 
 def eigh_fiedler_sides(graph):
@@ -183,6 +237,70 @@ def test_parallel_channels_share_one_logical_edge():
     scores = edge_betweenness(graph)
     assert scores["e00"] == scores["e01"] == 2.0
     assert scores["e02"] == 2.0
+
+
+def test_betweenness_of_an_empty_graph_is_an_error():
+    with pytest.raises(ValueError, match="empty graph"):
+        edge_betweenness(NetworkGraph([]))
+
+
+def _components_with_parallel_channels(sizes, parallel, seed):
+    """One random tree-plus-chords component per size, some pairs doubled."""
+    rng = random.Random(seed)
+    policy = netgen.policy_json(LND)
+    nodes, pairs = [], []
+    for k, size in enumerate(sizes):
+        members = [f"g{k}n{i:03d}" for i in range(size)]
+        nodes += members
+        pairs += [(members[rng.randrange(i)], members[i]) for i in range(1, size)]
+        pairs += [tuple(rng.sample(members, 2)) for _ in range(size // 2)]
+    pairs += [rng.choice(pairs) for _ in range(parallel)]
+    channels = [
+        netgen.channel_json(f"c{i:04d}", a, b, 1_000_000, policy, policy)
+        for i, (a, b) in enumerate(pairs)
+    ]
+    return build_graph(parse_snapshot(netgen.snapshot_json(nodes, channels)))
+
+
+# Enough nodes that the sources span at least two blocks.
+_TWO_BLOCKS = math.isqrt(BETWEENNESS_BLOCK_CELLS) + 1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(
+    sizes=st.lists(st.integers(2, 60), min_size=2, max_size=5).filter(
+        lambda s: sum(s) >= _TWO_BLOCKS
+    ),
+    parallel=st.integers(1, 30),
+    seed=st.integers(0, 10_000),
+)
+def test_betweenness_equals_the_reference_loop(sizes, parallel, seed):
+    graph = _components_with_parallel_channels(sizes, parallel, seed)
+    n = graph.node_count
+    assert n > BETWEENNESS_BLOCK_CELLS // n
+    assert edge_betweenness(graph) == reference_edge_betweenness(graph)
+
+
+@pytest.mark.parametrize("fixture", ["barbell", "mixed_mesh"])
+def test_betweenness_equals_the_reference_loop_on_plan_residuals(
+    fixture, request, monkeypatch
+):
+    _, graph, labels = request.getfixturevalue(fixture)
+    visited = []
+
+    def checked(residual):
+        scores = edge_betweenness(residual)
+        assert scores == reference_edge_betweenness(residual)
+        visited.append(len(residual))
+        return scores
+
+    # The planner imports edge_betweenness from the module at each call.
+    monkeypatch.setattr(partition, "edge_betweenness", checked)
+    _, plan = plan_disconnection(
+        graph, labels, MAINNET_DEFAULTS, PlannerConfig(),
+        DisconnectionMethod.GREEDY_BETWEENNESS,
+    )
+    assert len(visited) == len(plan.routes) > 1
 
 
 def test_betweenness_matches_brute_force_on_random_graphs():
@@ -280,6 +398,34 @@ def test_kernighan_lin_never_worsens_the_seed_cut():
         assert set(cut.cut_channel_ids) == crossing
 
 
+def _kl_cases():
+    for seed in range(12):
+        yield build_graph(netgen.random_snapshot(10 + 3 * seed, 6 + seed, seed=700 + seed))
+
+
+@pytest.mark.parametrize("graph", [*_kl_cases(), "mixed_mesh"])
+def test_kernighan_lin_cut_admits_no_improving_move(graph, request):
+    if graph == "mixed_mesh":
+        graph = request.getfixturevalue(graph)[1]
+    cut = kernighan_lin_cut(graph)
+    members = set(cut.side_a) | set(cut.side_b)
+    inside = [
+        (ch.endpoint_a, ch.endpoint_b)
+        for ch in graph.channels()
+        if ch.endpoint_a in members and ch.endpoint_b in members
+    ]
+
+    def cut_size(side_a):
+        return sum((a in side_a) != (b in side_a) for a, b in inside)
+
+    assert cut_size(set(cut.side_a)) == cut.cut_size
+    for side in (set(cut.side_a), set(cut.side_b)):
+        if len(side) == 1:
+            continue
+        for node in side:
+            assert cut_size(side - {node}) >= cut.cut_size, node
+
+
 # -- full disconnection plans -------------------------------------------------
 
 
@@ -340,3 +486,27 @@ def test_greedy_betweenness_weight_agrees_with_planner(barbell):
     )
     assert plan.routes[0].channel_ids == ("bridge",)
     assert len(report.curve) == len(plan.routes) + 1
+
+
+def test_plans_that_cut_nothing_log_a_warning(mixed_mesh, caplog):
+    _, graph, labels = mixed_mesh
+    sizes = {
+        DisconnectionMethod.SPECTRAL: fiedler_cut(graph).cut_size,
+        DisconnectionMethod.KERNIGHAN_LIN: kernighan_lin_cut(graph).cut_size,
+    }
+    for method in DisconnectionMethod:
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="lnjam.partition"):
+            report, plan = plan_disconnection(
+                graph, labels, MAINNET_DEFAULTS, PlannerConfig(), method, budget_channels=2
+            )
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        if method in sizes:
+            assert report.curve[-1][1] == report.curve[0][1]
+            assert warnings == [
+                f"{method.value} plan disconnects nothing: the {sizes[method]}-channel"
+                " cut does not fit a budget of 2 attacker channels"
+            ]
+        else:
+            assert report.curve[-1][1] < report.curve[0][1]
+            assert warnings == []
