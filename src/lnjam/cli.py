@@ -24,9 +24,11 @@ from pathlib import Path
 from . import __version__
 from .cost import BTC_USD_RATE, USD_PER_CHANNEL_OPEN, estimate_costs, price_plan
 from .inference import announced_policies, score_node, tag_nodes
-from .isolation import IsolationPlan, isolation_cost_curve, plan_isolation
+from .isolation import MAX_TRAVERSALS, IsolationPlan, isolation_cost_curve, plan_isolation
 from .partition import DisconnectionMethod, NonConvergenceError, plan_disconnection
 from .planner import (
+    MAX_ROUTE_CHANNELS,
+    TAU_MIN_DEFAULT,
     AttackPlan,
     InfeasibleConfigError,
     MixedSlotClassError,
@@ -357,7 +359,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _check_plan_channels(plan: AttackPlan | IsolationPlan, graph: NetworkGraph) -> None:
     """Raise InputError unless every route is a walk with a positive slot
-    class, and every channel the plan names is in the graph and joins the
+    class, every isolation payment crosses its channel 1 to MAX_TRAVERSALS
+    times, and every channel the plan names is in the graph and joins the
     two nodes the plan says it does."""
     if isinstance(plan, AttackPlan):
         for i, route in enumerate(plan.routes, start=1):
@@ -368,6 +371,11 @@ def _check_plan_channels(plan: AttackPlan | IsolationPlan, graph: NetworkGraph) 
                 raise InputError(f"route {i} is not a walk of hops with a positive slot_class")
         joins = [(h.channel_id, h.from_node, h.to_node) for r in plan.routes for h in r.hops]
     else:
+        for c in plan.per_channel:
+            if any(not 1 <= p.traversals <= MAX_TRAVERSALS for p in c.payments):
+                raise InputError(
+                    f"channel {c.channel_id!r}: traversals outside [1, {MAX_TRAVERSALS}]"
+                )
         joins = [(c.channel_id, plan.victim, c.neighbor) for c in plan.per_channel]
     for cid, node, other in joins:
         if cid not in graph:
@@ -426,13 +434,17 @@ def _comma_list(item_type):
     return parse
 
 
+def _add_tau_min_flag(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--tau-min", type=int, default=TAU_MIN_DEFAULT,
+                     help="minimum lock duration in blocks (default %(default)s, three days)")
+
+
 def _add_planner_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--budget", type=int, default=None,
                      help="attacker channel budget (default: unlimited)")
-    sub.add_argument("--tau-min", type=int, default=432,
-                     help="minimum lock duration in blocks (default 432, three days)")
-    sub.add_argument("--max-route-channels", type=int, default=18,
-                     help="victim channels per route (default 18)")
+    _add_tau_min_flag(sub)
+    sub.add_argument("--max-route-channels", type=int, default=MAX_ROUTE_CHANNELS,
+                     help="victim channels per route (default %(default)s)")
     sub.add_argument("--weight", choices=[m.value for m in WeightMode], default="capacity",
                      help="channel weight driving greedy selection")
 
@@ -489,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("attack-node", help="plan a single-node isolation")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--victim", required=True)
-    p.add_argument("--tau-min", type=int, default=432)
+    _add_tau_min_flag(p)
     p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_attack_node)
 
@@ -497,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="closed-form isolation cost vs victim degree")
     p.add_argument("--impl", choices=sorted(_IMPLS) + ["all"], default="all")
     p.add_argument("--max-degree", type=int, default=60)
-    p.add_argument("--tau-min", type=int, default=432)
+    _add_tau_min_flag(p)
     p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_isolation_curves)
 

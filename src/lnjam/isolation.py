@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .planner import MAX_ROUTE_HOPS
+from .planner import MAX_ROUTE_CHANNELS, TAU_MIN_DEFAULT, check_tau_min
 from .topology import (
     LOCKTIME_MAX,
     MAINNET_DEFAULTS,
@@ -32,7 +32,7 @@ logger = logging.getLogger(__name__)
 ATTACKER_SLOT_LIMIT = 483
 
 # Entry and exit hops bracket the traversals, under the 20-hop onion limit.
-MAX_TRAVERSALS = MAX_ROUTE_HOPS - 2
+MAX_TRAVERSALS = MAX_ROUTE_CHANNELS
 
 
 @dataclass(frozen=True)
@@ -251,7 +251,7 @@ def plan_isolation(
     labels: Mapping[str, ImplLabel],
     defaults: DefaultsTable = MAINNET_DEFAULTS,
     victim: str | None = None,
-    tau_min: int = 432,
+    tau_min: int = TAU_MIN_DEFAULT,
 ) -> IsolationPlan:
     """Plan the paralysis of every channel adjacent to ``victim``.
 
@@ -262,8 +262,7 @@ def plan_isolation(
     """
     if victim is None:
         raise ValueError("victim node id is required")
-    if not 0 < tau_min < LOCKTIME_MAX:
-        raise ValueError(f"tau_min must be in (0, {LOCKTIME_MAX}), got {tau_min}")
+    check_tau_min(tau_min)
     if graph.degree(victim) == 0:
         found_anywhere = victim in labels
         if not found_anywhere:
@@ -299,7 +298,7 @@ def plan_isolation(
 def isolation_cost_curve(
     implementation: ImplLabel,
     degree_range: Sequence[int] | Iterable[int],
-    tau_min: int = 432,
+    tau_min: int = TAU_MIN_DEFAULT,
     defaults: DefaultsTable = MAINNET_DEFAULTS,
 ) -> list[tuple[int, int]]:
     """Attacker channels needed per victim degree, all nodes at one
@@ -309,6 +308,7 @@ def isolation_cost_curve(
     limit and delta, so the per-channel payment count is fixed and the cost
     scales with degree divided by the entry-channel budget.
     """
+    check_tau_min(tau_min)
     d = defaults.for_label(implementation)
     slots = d.max_concurrent_htlcs
     k = max_traversals_for_deltas(d.cltv_expiry_delta, d.cltv_expiry_delta, tau_min)

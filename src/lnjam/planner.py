@@ -50,6 +50,12 @@ MAX_ROUTE_HOPS = 20
 # Blocks per day, for converting lock periods to tau_min.
 BLOCKS_PER_DAY = 144
 
+# Default minimum lock duration: three days.
+TAU_MIN_DEFAULT = 3 * BLOCKS_PER_DAY
+
+# Victim channels per route: the onion limit minus the attacker's entry and exit.
+MAX_ROUTE_CHANNELS = MAX_ROUTE_HOPS - 2
+
 
 class MixedSlotClassError(ValueError):
     """choose_routes needs all channels to share one slot limit."""
@@ -57,6 +63,12 @@ class MixedSlotClassError(ValueError):
 
 class InfeasibleConfigError(ValueError):
     """A sweep or budget parameter leaves no room for any attack."""
+
+
+def check_tau_min(tau_min: int) -> None:
+    """Raise unless ``tau_min`` leaves some locktime budget under LOCKTIME_MAX."""
+    if not 0 < tau_min < LOCKTIME_MAX:
+        raise InfeasibleConfigError(f"tau_min must be in (0, {LOCKTIME_MAX}), got {tau_min}")
 
 
 class WeightMode(Enum):
@@ -76,18 +88,15 @@ class PlannerConfig:
             recomputed on the residual graph before each route.
     """
 
-    tau_min: int = 432
-    max_route_channels: int = 18
+    tau_min: int = TAU_MIN_DEFAULT
+    max_route_channels: int = MAX_ROUTE_CHANNELS
     weight_mode: WeightMode = WeightMode.CAPACITY
 
     def __post_init__(self):
-        if not 0 < self.tau_min < LOCKTIME_MAX:
+        check_tau_min(self.tau_min)
+        if not 1 <= self.max_route_channels <= MAX_ROUTE_CHANNELS:
             raise InfeasibleConfigError(
-                f"tau_min must be in (0, {LOCKTIME_MAX}), got {self.tau_min}"
-            )
-        if not 1 <= self.max_route_channels <= MAX_ROUTE_HOPS - 2:
-            raise InfeasibleConfigError(
-                f"max_route_channels must be in [1, {MAX_ROUTE_HOPS - 2}],"
+                f"max_route_channels must be in [1, {MAX_ROUTE_CHANNELS}],"
                 f" got {self.max_route_channels}"
             )
 
@@ -464,12 +473,13 @@ def lock_period_sweep(
     no locktime budget at all (144 * 14 = 2016) and raise
     :class:`InfeasibleConfigError`.
     """
+    max_days = LOCKTIME_MAX // BLOCKS_PER_DAY
     # Limited once here, the graph passes through each point's plan as it is.
     graph = apply_slot_limits(graph, labels, defaults)
     plans = []
     for d in days:
-        if not 0 < d < 14:
-            raise InfeasibleConfigError(f"lock period of {d} days is outside (0, 14)")
+        if not 0 < d < max_days:
+            raise InfeasibleConfigError(f"lock period of {d} days is outside (0, {max_days})")
         cfg = replace(config, tau_min=math.ceil(BLOCKS_PER_DAY * d))
         plans.append((d, plan_network_attack(graph, labels, defaults, cfg, budget_channels)))
     return plans

@@ -17,6 +17,7 @@ import logging
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import partialmethod
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
@@ -41,6 +42,11 @@ logger = logging.getLogger(__name__)
 FINAL_EXPIRY_DEFAULT = 9
 
 ATTACKER_NODE = "attacker"
+
+# Policy of either direction of a channel opened without one.
+DEFAULT_POLICY = ChannelPolicy(
+    cltv_expiry_delta=40, htlc_minimum_msat=1000, fee_base_msat=0, fee_proportional_millionths=0
+)
 
 
 class SimulatorError(Exception):
@@ -78,18 +84,6 @@ class PaymentStatus(Enum):
 
 
 @dataclass
-class PendingHtlc:
-    htlc_id: int
-    payment_id: str
-    payment_hash: str
-    amount_msat: int
-    expiry_height: int
-    from_node: str
-    to_node: str
-    hop_index: int
-
-
-@dataclass
 class SimChannel:
     """One channel: balances per side, shared-slot pending HTLC set."""
 
@@ -103,11 +97,7 @@ class SimChannel:
     slot_limit: int
     dust_limit_sat: int
     state: ChannelState = ChannelState.OPEN
-    pending: dict[int, PendingHtlc] = field(default_factory=dict)
-
-    @property
-    def pending_count(self) -> int:
-        return len(self.pending)
+    pending: dict[int, Htlc] = field(default_factory=dict)
 
     def other_endpoint(self, node: str) -> str:
         if node == self.node_a:
@@ -130,11 +120,16 @@ class SimChannel:
         return total == self.capacity_sat * MSAT_PER_SAT
 
 
-@dataclass(eq=False)
-class _Hop:
+@dataclass(eq=False, slots=True)
+class Htlc:
+    """One hop of a payment. Once committed it is also the channel's pending
+    HTLC: ``channel.pending[htlc_id]`` holds this very object until the
+    payment settles or fails."""
+
     channel: SimChannel
     from_node: str
     to_node: str
+    payment_hash: str
     amount_msat: int = 0
     expiry_height: int = 0
     htlc_id: int = -1
@@ -143,8 +138,7 @@ class _Hop:
 @dataclass
 class PaymentState:
     payment_id: str
-    payment_hash: str
-    hops: list[_Hop]
+    hops: list[Htlc]
     hold: bool
     status: PaymentStatus = PaymentStatus.PENDING
 
@@ -191,12 +185,6 @@ class SimNetwork:
             raise SimulatorError(f"duplicate channel id {channel_id}")
         if node_a == node_b:
             raise SimulatorError("channel endpoints must differ")
-        default_policy = ChannelPolicy(
-            cltv_expiry_delta=40,
-            htlc_minimum_msat=1000,
-            fee_base_msat=0,
-            fee_proportional_millionths=0,
-        )
         capacity_msat = capacity_sat * MSAT_PER_SAT
         if balances is not None:
             bal_a, bal_b = balances
@@ -214,8 +202,8 @@ class SimNetwork:
             node_b=node_b,
             capacity_sat=capacity_sat,
             balances={node_a: bal_a, node_b: bal_b},
-            policy_a_to_b=policy_a_to_b or default_policy,
-            policy_b_to_a=policy_b_to_a or default_policy,
+            policy_a_to_b=policy_a_to_b or DEFAULT_POLICY,
+            policy_b_to_a=policy_b_to_a or DEFAULT_POLICY,
             slot_limit=slot_limit,
             dust_limit_sat=dust_limit_sat,
         )
@@ -257,8 +245,10 @@ class SimNetwork:
 
     # -- payments ----------------------------------------------------------
 
-    def _resolve_route(self, sender: str, channel_path: Sequence[str]) -> list[_Hop]:
-        hops: list[_Hop] = []
+    def _resolve_route(
+        self, sender: str, channel_path: Sequence[str], payment_hash: str
+    ) -> list[Htlc]:
+        hops: list[Htlc] = []
         current = sender
         for cid in channel_path:
             channel = self.channels.get(cid)
@@ -267,7 +257,7 @@ class SimNetwork:
             if channel.state is not ChannelState.OPEN:
                 raise PaymentError(FailureReason.CHANNEL_CLOSED, f"channel {cid} is closed")
             nxt = channel.other_endpoint(current)
-            hops.append(_Hop(channel=channel, from_node=current, to_node=nxt))
+            hops.append(Htlc(channel, current, nxt, payment_hash))
             current = nxt
         return hops
 
@@ -300,7 +290,8 @@ class SimNetwork:
                 FailureReason.ROUTE_TOO_LONG,
                 f"{len(channel_path)} hops exceed the {MAX_ROUTE_HOPS}-hop limit",
             )
-        hops = self._resolve_route(sender, channel_path)
+        payment_hash = payment_hash if payment_hash is not None else f"h:{payment_id}"
+        hops = self._resolve_route(sender, channel_path, payment_hash)
         policies = [h.channel.policy_from(h.from_node) for h in hops]
         amounts = cost_mod.route_amounts(policies, amount_msat)
         for hop, amount in zip(hops, amounts):
@@ -337,7 +328,7 @@ class SimNetwork:
         adds: Counter[str] = Counter()
         for hop in hops:
             adds[hop.channel.channel_id] += 1
-            if hop.channel.pending_count + adds[hop.channel.channel_id] > hop.channel.slot_limit:
+            if len(hop.channel.pending) + adds[hop.channel.channel_id] > hop.channel.slot_limit:
                 raise PaymentError(
                     FailureReason.SLOT_FULL,
                     f"channel {hop.channel.channel_id} at its"
@@ -354,7 +345,6 @@ class SimNetwork:
                     f"{hop.from_node} lacks {escrow[key]} msat on {hop.channel.channel_id}",
                 )
 
-        payment_hash = payment_hash if payment_hash is not None else f"h:{payment_id}"
         if self.reject_duplicate_hash:
             for hop in hops:
                 if any(
@@ -365,24 +355,13 @@ class SimNetwork:
                         f"hash already pending on {hop.channel.channel_id}",
                     )
 
-        # All checks passed: commit the HTLCs.
-        for i, hop in enumerate(hops):
+        # All checks passed: each hop becomes its channel's pending HTLC.
+        for hop in hops:
             hop.htlc_id = self._next_htlc_id
             self._next_htlc_id += 1
             hop.channel.balances[hop.from_node] -= hop.amount_msat
-            hop.channel.pending[hop.htlc_id] = PendingHtlc(
-                htlc_id=hop.htlc_id,
-                payment_id=payment_id,
-                payment_hash=payment_hash,
-                amount_msat=hop.amount_msat,
-                expiry_height=hop.expiry_height,
-                from_node=hop.from_node,
-                to_node=hop.to_node,
-                hop_index=i,
-            )
-        state = PaymentState(
-            payment_id=payment_id, payment_hash=payment_hash, hops=hops, hold=hold
-        )
+            hop.channel.pending[hop.htlc_id] = hop
+        state = PaymentState(payment_id=payment_id, hops=hops, hold=hold)
         self.payments[payment_id] = state
         self._log(
             "send",
@@ -650,12 +629,10 @@ def _check_and_report(
     probes_blocked = 0
     for n, cid in enumerate(targeted):
         channel = net.channels[cid]
-        if channel.pending_count == channel.slot_limit:
+        if len(channel.pending) == channel.slot_limit:
             locked += 1
         else:
-            failures.append(
-                f"channel {cid}: {channel.pending_count}/{channel.slot_limit} slots"
-            )
+            failures.append(f"channel {cid}: {len(channel.pending)}/{channel.slot_limit} slots")
         policy = channel.policy_from(channel.node_a)
         amount = max(channel.dust_limit_sat * MSAT_PER_SAT, policy.htlc_minimum_msat, 1)
         reason = _try_send(net, f"probe{n}", channel.node_a, [cid], amount)
@@ -820,11 +797,12 @@ class _ScenarioRunner:
         cid, node_a, node_b = args[0], args[1], args[2]
         capacity = int(args[3])
         opts = _parse_kv(args[4:], line_no)
-        delta_ab = int(opts.get("delta_ab", opts.get("delta", 40)))
-        delta_ba = int(opts.get("delta_ba", opts.get("delta", 40)))
-        min_htlc = int(opts.get("min_htlc", 1000))
-        fee_base = int(opts.get("fee_base", 0))
-        fee_rate = int(opts.get("fee_rate", 0))
+        d = DEFAULT_POLICY
+        delta_ab = int(opts.get("delta_ab", opts.get("delta", d.cltv_expiry_delta)))
+        delta_ba = int(opts.get("delta_ba", opts.get("delta", d.cltv_expiry_delta)))
+        min_htlc = int(opts.get("min_htlc", d.htlc_minimum_msat))
+        fee_base = int(opts.get("fee_base", d.fee_base_msat))
+        fee_rate = int(opts.get("fee_rate", d.fee_proportional_millionths))
 
         def policy(delta: int) -> ChannelPolicy:
             return ChannelPolicy(
@@ -879,19 +857,16 @@ class _ScenarioRunner:
         detail = "" if error is None else str(error)
         self._record(line_no, f"{verb} {payment_id}", error is None, detail)
 
-    def _cmd_fulfill(self, args: list[str], line_no: int) -> None:
+    def _resolve(self, verb: str, args: list[str], line_no: int) -> None:
+        """``fulfill`` or ``fail`` one pending payment."""
         try:
-            self.net.fulfill_payment(args[0])
-            self._record(line_no, f"fulfill {args[0]}", True)
+            getattr(self.net, f"{verb}_payment")(args[0])
+            self._record(line_no, f"{verb} {args[0]}", True)
         except (IndexError, SimulatorError) as exc:
-            self._record(line_no, "fulfill", False, str(exc))
+            self._record(line_no, verb, False, str(exc))
 
-    def _cmd_fail(self, args: list[str], line_no: int) -> None:
-        try:
-            self.net.fail_payment(args[0])
-            self._record(line_no, f"fail {args[0]}", True)
-        except (IndexError, SimulatorError) as exc:
-            self._record(line_no, "fail", False, str(exc))
+    _cmd_fulfill = partialmethod(_resolve, "fulfill")
+    _cmd_fail = partialmethod(_resolve, "fail")
 
     def _cmd_advance(self, args: list[str], line_no: int) -> None:
         try:
@@ -906,7 +881,7 @@ class _ScenarioRunner:
         if channel is None:
             self._record(line_no, f"assert_pending {cid}", False, "unknown channel")
             return
-        actual = channel.pending_count
+        actual = len(channel.pending)
         self._record(
             line_no,
             f"assert_pending {cid} {expected}",

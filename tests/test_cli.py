@@ -216,10 +216,14 @@ def test_verify_plan_rejects_malformed_input(snapshot_file, tmp_path, capsys):
         edited(network, lambda d: d["routes"][0]["hops"].reverse()),
         edited(isolation, lambda d: d["per_channel"][0].update(channel_id="nope")),
         edited(isolation, lambda d: d["per_channel"][0].update(channel_id=far)),
+        # Out-of-range traversal counts are rejected before any route is built.
+        edited(isolation, lambda d: d["per_channel"][0]["payments"][0].update(traversals=0)),
+        edited(isolation, lambda d: d["per_channel"][0]["payments"][0].update(traversals=2**62)),
     ):
         assert verify(doc) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 10
+    assert err.count("error:") == 12
+    assert err.count("outside [1, 18]") == 2
     assert "Traceback" not in err
 
 
@@ -275,6 +279,14 @@ def test_nan_lock_period_is_out_of_range(snapshot_file, capsys):
     err = capsys.readouterr().err
     assert "infeasible:" in err
     assert "outside (0, 14)" in err
+    assert "Traceback" not in err
+
+
+def test_isolation_curves_reject_out_of_range_lock_periods(capsys):
+    for tau_min in ("-5", "3000"):
+        assert main(["isolation-curves", "--tau-min", tau_min]) == 3
+    err = capsys.readouterr().err
+    assert err.count("infeasible: tau_min must be in (0, 2016)") == 2
     assert "Traceback" not in err
 
 

@@ -1,6 +1,7 @@
 """HTLC simulator: validation order, settlement, force-closes, scenarios."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lnjam.simulator import (
     ChannelState,
@@ -313,6 +314,104 @@ def test_event_log_is_deterministic():
     first, second = run(), run()
     assert first == second
     assert {"event": "force_close", "height": 8, "channel": "c1"} in first
+
+
+# -- invariants under random activity ------------------------------------------
+
+# A four-node network with mixed slot limits, fees, deltas and dust limits:
+# (id, a, b, capacity_sat, slot_limit, dust_limit_sat, policy).
+_MESH = [
+    ("m0", "n0", "n1", 300, 2, 0, _policy(delta=20, min_htlc=1000, base=10, rate=100)),
+    ("m1", "n1", "n2", 2000, 3, 1, _policy(delta=15, min_htlc=1, base=0, rate=5000)),
+    ("m2", "n2", "n3", 500, 5, 0, _policy(delta=30, min_htlc=3000, base=250, rate=0)),
+    ("m3", "n3", "n0", 1000, 483, 5, _policy(delta=9, min_htlc=1, base=1, rate=1)),
+    ("m4", "n0", "n2", 800, 1, 0, _policy(delta=25, min_htlc=1000, base=7, rate=30)),
+]
+
+_route = st.tuples(st.integers(0, 3), st.lists(st.integers(0, 5), min_size=1, max_size=6))
+_action = st.one_of(
+    st.tuples(st.just("send"), _route, st.integers(1000, 400_000), st.booleans()),
+    st.tuples(st.just("send_then_fail"), _route, st.integers(1000, 400_000)),
+    st.tuples(st.sampled_from(["fulfill", "fail"]), st.integers(0, 40)),
+    st.tuples(st.just("advance"), st.integers(1, 60)),
+)
+
+
+def _mesh_network():
+    net = SimNetwork(locktime_max=60)
+    for cid, a, b, capacity, slots, dust, policy in _MESH:
+        half = capacity * 1000 // 2
+        net.open_channel(
+            cid, a, b, capacity, policy_a_to_b=policy, policy_b_to_a=policy,
+            slot_limit=slots, dust_limit_sat=dust, balances=(half, capacity * 1000 - half),
+        )
+    return net
+
+
+def _walk(net, sender, picks):
+    """A channel walk from ``sender``: each pick chooses among the channels
+    at the current node."""
+    path, node = [], f"n{sender}"
+    for pick in picks:
+        here = sorted(c.channel_id for c in net.channels.values() if node in (c.node_a, c.node_b))
+        channel = net.channels[here[pick % len(here)]]
+        path.append(channel.channel_id)
+        node = channel.other_endpoint(node)
+    return path
+
+
+def _ledger(net):
+    return {cid: (dict(ch.balances), set(ch.pending)) for cid, ch in net.channels.items()}
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(actions=st.lists(_action, min_size=10, max_size=40))
+def test_random_activity_keeps_the_simulator_invariants(actions):
+    net = _mesh_network()
+    # HTLCs of failed payments left on force-closed channels, which keep them.
+    stranded = set()
+    for step, action in enumerate(actions):
+        verb = action[0]
+        if verb in ("send", "send_then_fail"):
+            (sender, picks), amount = action[1], action[2]
+            hold = verb == "send_then_fail" or action[3]
+            before = _ledger(net)
+            try:
+                net.send_payment(f"p{step}", f"n{sender}", _walk(net, sender, picks), amount, hold)
+            except PaymentError:
+                assert _ledger(net) == before  # a refused payment changes nothing
+            else:
+                if verb == "send_then_fail":
+                    net.fail_payment(f"p{step}")
+                    assert _ledger(net) == before
+        elif verb == "advance":
+            net.advance_blocks(action[1])
+        else:
+            ids = [k for k, p in net.payments.items() if p.status is PaymentStatus.PENDING]
+            if not ids:
+                continue
+            state = net.payments[ids[action[1] % len(ids)]]
+            try:
+                getattr(net, f"{verb}_payment")(state.payment_id)
+            except SimulatorError:
+                continue
+            if verb == "fail":
+                stranded |= {h for h in state.hops if h.channel.state is ChannelState.FORCE_CLOSED}
+
+        held = [h for ch in net.channels.values() for h in ch.pending.values()]
+        for ch in net.channels.values():
+            assert ch.conserves_capacity(), ch.channel_id
+            assert len(ch.pending) <= ch.slot_limit, ch.channel_id
+            assert all(h.channel is ch and h.htlc_id == k for k, h in ch.pending.items())
+        # Every pending HTLC is one of its payment's own hops, never a copy.
+        live = {
+            h
+            for p in net.payments.values()
+            if p.status is PaymentStatus.PENDING
+            for h in p.hops
+        }
+        assert len(set(held)) == len(held)
+        assert set(held) == live | stranded
 
 
 # -- from_graph ---------------------------------------------------------------
