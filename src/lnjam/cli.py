@@ -30,8 +30,6 @@ from .planner import (
     MAX_ROUTE_CHANNELS,
     TAU_MIN_DEFAULT,
     AttackPlan,
-    InfeasibleConfigError,
-    MixedSlotClassError,
     PlannerConfig,
     WeightMode,
     lock_period_sweep,
@@ -84,9 +82,7 @@ def _load_snapshot(path: str):
 
 def _load_graph_and_labels(path: str):
     snapshot = _load_snapshot(path)
-    graph = build_graph(snapshot)
-    labels = tag_nodes(snapshot)
-    return snapshot, graph, labels
+    return build_graph(snapshot), tag_nodes(snapshot)
 
 
 def _meta(args: argparse.Namespace, **extra) -> list[str]:
@@ -113,19 +109,17 @@ def _csv_text(header_lines: list[str], columns: list[str], rows: list[list]) -> 
     return buf.getvalue()
 
 
-def _json_text(meta: dict, body: dict) -> str:
+def _json_text(args: argparse.Namespace, body: dict, **meta) -> str:
+    meta = {"tool": f"lnjam {__version__}", "command": args.command, **meta}
     return json.dumps({"meta": meta, **body}, indent=2, sort_keys=True) + "\n"
 
 
 def _planner_config(args: argparse.Namespace) -> PlannerConfig:
-    try:
-        return PlannerConfig(
-            tau_min=args.tau_min,
-            max_route_channels=args.max_route_channels,
-            weight_mode=WeightMode(args.weight),
-        )
-    except ValueError as exc:
-        raise InfeasibleConfigError(str(exc))
+    return PlannerConfig(
+        tau_min=args.tau_min,
+        max_route_channels=args.max_route_channels,
+        weight_mode=WeightMode(args.weight),
+    )
 
 
 def _write_plan(path: str | None, plan) -> None:
@@ -197,7 +191,7 @@ def cmd_tag(args: argparse.Namespace) -> int:
 
 
 def cmd_attack_network(args: argparse.Namespace) -> int:
-    _, graph, labels = _load_graph_and_labels(args.snapshot)
+    graph, labels = _load_graph_and_labels(args.snapshot)
     config = _planner_config(args)
 
     if args.sweep_days:
@@ -262,7 +256,7 @@ def cmd_attack_network(args: argparse.Namespace) -> int:
 
 
 def cmd_attack_connectivity(args: argparse.Namespace) -> int:
-    _, graph, labels = _load_graph_and_labels(args.snapshot)
+    graph, labels = _load_graph_and_labels(args.snapshot)
     config = _planner_config(args)
     report, plan = plan_disconnection(
         graph, labels, MAINNET_DEFAULTS, config, DisconnectionMethod(args.method), args.budget
@@ -278,11 +272,10 @@ def cmd_attack_connectivity(args: argparse.Namespace) -> int:
 
 
 def cmd_attack_node(args: argparse.Namespace) -> int:
-    _, graph, labels = _load_graph_and_labels(args.snapshot)
+    graph, labels = _load_graph_and_labels(args.snapshot)
     if args.victim not in labels:
         raise InputError(f"victim node {args.victim!r} not in snapshot")
     plan = plan_isolation(graph, labels, victim=args.victim, tau_min=args.tau_min)
-    meta = {"tool": f"lnjam {__version__}", "command": args.command, "victim": args.victim}
     body = {
         "plan": plan.to_json_dict(),
         "summary": {
@@ -293,7 +286,7 @@ def cmd_attack_node(args: argparse.Namespace) -> int:
             "unparalyzable_channels": list(plan.unparalyzable),
         },
     }
-    _emit(args.output, _json_text(meta, body))
+    _emit(args.output, _json_text(args, body, victim=args.victim))
     return EXIT_OK
 
 
@@ -314,7 +307,7 @@ def cmd_isolation_curves(args: argparse.Namespace) -> int:
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
-    _, graph, labels = _load_graph_and_labels(args.snapshot)
+    graph, labels = _load_graph_and_labels(args.snapshot)
     config = _planner_config(args)
     plan = plan_network_attack(graph, labels, MAINNET_DEFAULTS, config, args.budget)
     price_plan(plan, graph, labels)
@@ -324,13 +317,8 @@ def cmd_cost(args: argparse.Namespace) -> int:
         batch_discount=args.batch_discount,
         btc_usd_rate=args.btc_usd,
     )
-    meta = {
-        "tool": f"lnjam {__version__}",
-        "command": args.command,
-        "budget": args.budget,
-        "tau_min": args.tau_min,
-    }
-    _emit(args.output, _json_text(meta, {"cost": report.to_json_dict()}))
+    body = {"cost": report.to_json_dict()}
+    _emit(args.output, _json_text(args, body, budget=args.budget, tau_min=args.tau_min))
     _write_plan(args.plan_out, plan)
     return EXIT_OK
 
@@ -389,7 +377,7 @@ def _check_plan_channels(plan: AttackPlan | IsolationPlan, graph: NetworkGraph) 
 
 
 def cmd_verify_plan(args: argparse.Namespace) -> int:
-    _, graph, labels = _load_graph_and_labels(args.snapshot)
+    graph, labels = _load_graph_and_labels(args.snapshot)
     try:
         with open(args.plan, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -412,8 +400,8 @@ def cmd_verify_plan(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed {kind} plan: {exc!r}")
     report = execute_plan(plan, graph, labels)
-    meta = {"tool": f"lnjam {__version__}", "command": args.command, "plan": args.plan}
-    _emit(args.output, _json_text(meta, {"verification": report.to_json_dict()}))
+    body = {"verification": report.to_json_dict()}
+    _emit(args.output, _json_text(args, body, plan=args.plan))
     return EXIT_OK if report.ok else EXIT_ASSERTION
 
 
@@ -554,7 +542,7 @@ def main(argv=None) -> int:
     except (InputError, OSError, SnapshotParseError, ScenarioParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (InfeasibleConfigError, MixedSlotClassError, NonConvergenceError, ValueError) as exc:
+    except (NonConvergenceError, ValueError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .planner import AttackPlan, AttackRoute
 from .topology import (
@@ -100,6 +100,12 @@ def route_amounts(
     return amounts
 
 
+def floor_msat(dust_limit_sat: int, policies: Iterable[ChannelPolicy]) -> int:
+    """The smallest amount every hop accepts: at least the dust limit, each
+    policy's ``htlc_minimum_msat`` and one msat."""
+    return max(dust_limit_sat * MSAT_PER_SAT, *(p.htlc_minimum_msat for p in policies), 1)
+
+
 def hop_amounts_msat(
     route: AttackRoute,
     graph: NetworkGraph,
@@ -112,17 +118,13 @@ def hop_amounts_msat(
     the floor amount delivered back to the attacker's exit channel. Each
     forwarding node keeps the fee its outgoing hop's policy demands.
     """
-    nodes = route.node_sequence
-    dust_floor = max(
-        defaults.for_label(labels[n]).dust_limit_sat for n in nodes
-    ) * MSAT_PER_SAT
+    dust = max(defaults.for_label(labels[n]).dust_limit_sat for n in route.node_sequence)
     policies = [
         graph.channel(h.channel_id).policy_from(h.from_node) for h in route.hops
     ]
-    base = max(dust_floor, max(p.htlc_minimum_msat for p in policies))
     # None stands for the attacker's own entry hop. The exit hop charges
     # nothing, so the last victim hop already carries the floor.
-    return route_amounts([None, *policies], base)
+    return route_amounts([None, *policies], floor_msat(dust, policies))
 
 
 def payment_amount_for_route(
@@ -133,10 +135,9 @@ def payment_amount_for_route(
 ) -> int:
     """Total msat the attacker must send to hold one HTLC on every hop.
 
-    The floor is the largest dust threshold along the route (in msat) or the
-    largest htlc_minimum_msat, whichever is higher; fees accumulate backward
-    from the destination so every intermediate residual stays at or above
-    the floor.
+    The floor is :func:`floor_msat` of the largest dust threshold along the
+    route and the route's policies; fees accumulate backward from the
+    destination so every intermediate residual stays at or above the floor.
     """
     return hop_amounts_msat(route, graph, labels, defaults)[0]
 

@@ -250,7 +250,8 @@ def plan_isolation(
     graph: NetworkGraph,
     labels: Mapping[str, ImplLabel],
     defaults: DefaultsTable = MAINNET_DEFAULTS,
-    victim: str | None = None,
+    *,
+    victim: str,
     tau_min: int = TAU_MIN_DEFAULT,
 ) -> IsolationPlan:
     """Plan the paralysis of every channel adjacent to ``victim``.
@@ -260,21 +261,9 @@ def plan_isolation(
     one traversal fits the budget are kept in the plan, flagged
     unparalyzable.
     """
-    if victim is None:
-        raise ValueError("victim node id is required")
     check_tau_min(tau_min)
-    if graph.degree(victim) == 0:
-        found_anywhere = victim in labels
-        if not found_anywhere:
-            raise ValueError(f"victim {victim} not found in graph")
-        return IsolationPlan(
-            victim=victim,
-            tau_min=tau_min,
-            per_channel=[],
-            entry_budget=_entry_budget(labels[victim], defaults),
-        )
     if victim not in labels:
-        raise ValueError(f"victim {victim} has no implementation label")
+        raise ValueError(f"victim {victim} not found among the labeled nodes")
     per_channel = [
         _plan_channel(ch, victim, channel_slot_limit(ch, labels, defaults), tau_min)
         for ch in map(graph.channel, graph.channels_of(victim))

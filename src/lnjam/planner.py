@@ -439,7 +439,7 @@ def plan_network_attack(
 def upper_bound_capacity(
     graph: NetworkGraph,
     budget_channels: int,
-    max_route_channels: int = MAX_ROUTE_HOPS - 2,
+    max_route_channels: int = MAX_ROUTE_CHANNELS,
 ) -> float:
     """Capacity fraction no plan under this budget can beat.
 

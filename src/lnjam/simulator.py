@@ -467,6 +467,11 @@ class VerificationReport:
         return asdict(self)
 
 
+# Every attacker channel holds all the bitcoin there will ever be, half on
+# each side, so a replay can fail only on the victims' channels. What the
+# attack really locks is priced by ``cost``.
+ATTACKER_FUNDING_SAT = 21_000_000 * cost_mod.SAT_PER_BTC
+
 # The attacker's own channels charge nothing leaving the attacker; the peer
 # side forwards back to the attacker with a one-block delta.
 _FROM_ATTACKER = ChannelPolicy(
@@ -477,21 +482,20 @@ _TO_ATTACKER = ChannelPolicy(
 )
 
 
-def _open_attacker_channel(
-    net: SimNetwork, channel_id: str, peer: str, capacity_sat: int, slot_limit: int, entry: bool
-) -> str:
-    """Open an entry channel (attacker → peer) or an exit channel (peer →
-    attacker); the side the payments leave from funds it."""
-    node_a, node_b = (ATTACKER_NODE, peer) if entry else (peer, ATTACKER_NODE)
+def _open_attacker_channel(net: SimNetwork, channel_id: str, peer: str, slot_limit: int) -> str:
+    """Open (attacker, ``peer``) with ATTACKER_FUNDING_SAT split evenly, so
+    payments can enter the network through it and leave it back to the
+    attacker."""
+    half_msat = ATTACKER_FUNDING_SAT * MSAT_PER_SAT // 2
     return net.open_channel(
         channel_id,
-        node_a,
-        node_b,
-        capacity_sat,
-        funder=node_a,
-        policy_a_to_b=_FROM_ATTACKER if entry else _TO_ATTACKER,
-        policy_b_to_a=_TO_ATTACKER if entry else _FROM_ATTACKER,
+        ATTACKER_NODE,
+        peer,
+        ATTACKER_FUNDING_SAT,
+        policy_a_to_b=_FROM_ATTACKER,
+        policy_b_to_a=_TO_ATTACKER,
         slot_limit=slot_limit,
+        balances=(half_msat, half_msat),
     )
 
 
@@ -524,18 +528,10 @@ def _attack_network(
     failures: list[str] = []
     locks: list[tuple[int, int]] = []
     for i, route in enumerate(plan.routes, start=1):
-        amounts = cost_mod.hop_amounts_msat(route, graph, labels, defaults)
-        sender_total, delivered = amounts[0], amounts[-1]
-        # Entry bankrolls every payment at the sender amount; the exit side
-        # only needs the floor amount forwarded back to the attacker.
-        capacity_sat = (route.slot_class * sender_total * 2) // MSAT_PER_SAT + 100_000
+        delivered = cost_mod.hop_amounts_msat(route, graph, labels, defaults)[-1]
         start, head = route.hops[0].from_node, route.hops[-1].to_node
-        entry = _open_attacker_channel(
-            net, f"atk-e{i}", start, capacity_sat, ATTACKER_SLOT_LIMIT, entry=True
-        )
-        exit_ = _open_attacker_channel(
-            net, f"atk-x{i}", head, capacity_sat, ATTACKER_SLOT_LIMIT, entry=False
-        )
+        entry = _open_attacker_channel(net, f"atk-e{i}", start, ATTACKER_SLOT_LIMIT)
+        exit_ = _open_attacker_channel(net, f"atk-x{i}", head, ATTACKER_SLOT_LIMIT)
         path = [entry, *route.channel_ids, exit_]
         for j in range(route.slot_class):
             reason = _try_send(net, f"r{i}p{j}", ATTACKER_NODE, path, delivered, hold=True)
@@ -564,38 +560,14 @@ def _attack_isolation(
             failures.append(f"channel {iso.channel_id} unparalyzable at this tau_min")
             continue
         target = net.channels[iso.channel_id]
-        policy_out = target.policy_from(victim)
-        policy_back = target.policy_from(iso.neighbor)
-        floor = max(
-            target.dust_limit_sat * MSAT_PER_SAT,
-            policy_out.htlc_minimum_msat,
-            policy_back.htlc_minimum_msat,
-            1,
+        floor = cost_mod.floor_msat(
+            target.dust_limit_sat, (target.policy_from(victim), target.policy_from(iso.neighbor))
         )
-        # Generous entry funding: every payment's sender-side amount is under
-        # floor plus per-traversal fees; the victim side additionally needs
-        # the shifted balance that funds circular exits.
-        worst = floor + sum(
-            p.fee_msat(2 * floor) for p in (policy_out, policy_back)
-        ) * (iso.max_traversals + 2)
-        even_exits = sum(p.ends_at_victim for p in iso.payments)
-        odd_payments = len(iso.payments) - even_exits
-        shift = even_exits * 2 * worst + 10 * floor
-        entry_cap_sat = max(
-            (shift + (len(iso.payments) + 2) * worst) // MSAT_PER_SAT + 100_000,
-            1_000_000,
-        )
-        entry = _open_attacker_channel(
-            net, f"atk-v{idx}", victim, entry_cap_sat, plan.entry_budget, entry=True
-        )
-        # Shift liquidity to the victim side so circular exits can escrow.
-        if even_exits:
-            net.send_payment(f"shift{idx}", ATTACKER_NODE, [entry], shift)
+        entry = _open_attacker_channel(net, f"atk-v{idx}", victim, plan.entry_budget)
         exit_neighbor = None
-        if odd_payments:
-            exit_cap_sat = max(odd_payments * 2 * worst // MSAT_PER_SAT + 100_000, 1_000_000)
+        if not all(p.ends_at_victim for p in iso.payments):
             exit_neighbor = _open_attacker_channel(
-                net, f"atk-n{idx}", iso.neighbor, exit_cap_sat, ATTACKER_SLOT_LIMIT, entry=False
+                net, f"atk-n{idx}", iso.neighbor, ATTACKER_SLOT_LIMIT
             )
         for j, payment in enumerate(iso.payments):
             exit_ = entry if payment.ends_at_victim else exit_neighbor
@@ -634,7 +606,7 @@ def _check_and_report(
         else:
             failures.append(f"channel {cid}: {len(channel.pending)}/{channel.slot_limit} slots")
         policy = channel.policy_from(channel.node_a)
-        amount = max(channel.dust_limit_sat * MSAT_PER_SAT, policy.htlc_minimum_msat, 1)
+        amount = cost_mod.floor_msat(channel.dust_limit_sat, [policy])
         reason = _try_send(net, f"probe{n}", channel.node_a, [cid], amount)
         if reason is FailureReason.SLOT_FULL:
             probes_blocked += 1
@@ -733,6 +705,19 @@ def _parse_kv(tokens: Iterable[str], line_no: int) -> dict[str, str]:
     return out
 
 
+def _require(args: Sequence[str], count: int, usage: str, line_no: int) -> None:
+    """Raise unless a command has at least ``count`` fields; ``usage`` says which."""
+    if len(args) < count:
+        raise ScenarioParseError(line_no, usage)
+
+
+def _parse_int(token: str, name: str, line_no: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ScenarioParseError(line_no, f"{name} must be an integer, got {token!r}") from None
+
+
 def _expand_route(token: str, line_no: int) -> list[str]:
     """Route syntax: comma-separated channel ids, each optionally `id*N`."""
     path: list[str] = []
@@ -792,17 +777,22 @@ class _ScenarioRunner:
     # unexpected errors instead of aborting, so later assertions still run.
 
     def _cmd_open(self, args: list[str], line_no: int) -> None:
-        if len(args) < 4:
-            raise ScenarioParseError(line_no, "open needs: id a b capacity_sat [opts]")
+        _require(args, 4, "open needs: id a b capacity_sat [opts]", line_no)
         cid, node_a, node_b = args[0], args[1], args[2]
-        capacity = int(args[3])
+        capacity = _parse_int(args[3], "capacity_sat", line_no)
         opts = _parse_kv(args[4:], line_no)
+
+        def option(key: str, default: int) -> int:
+            return _parse_int(opts[key], key, line_no) if key in opts else default
+
         d = DEFAULT_POLICY
-        delta_ab = int(opts.get("delta_ab", opts.get("delta", d.cltv_expiry_delta)))
-        delta_ba = int(opts.get("delta_ba", opts.get("delta", d.cltv_expiry_delta)))
-        min_htlc = int(opts.get("min_htlc", d.htlc_minimum_msat))
-        fee_base = int(opts.get("fee_base", d.fee_base_msat))
-        fee_rate = int(opts.get("fee_rate", d.fee_proportional_millionths))
+        delta = option("delta", d.cltv_expiry_delta)
+        delta_ab, delta_ba = option("delta_ab", delta), option("delta_ba", delta)
+        min_htlc = option("min_htlc", d.htlc_minimum_msat)
+        fee_base = option("fee_base", d.fee_base_msat)
+        fee_rate = option("fee_rate", d.fee_proportional_millionths)
+        slot_limit = option("slots", ATTACKER_SLOT_LIMIT)
+        dust_limit_sat = option("dust", 546)
 
         def policy(delta: int) -> ChannelPolicy:
             return ChannelPolicy(
@@ -821,8 +811,8 @@ class _ScenarioRunner:
                 funder=opts.get("funder", node_a),
                 policy_a_to_b=policy(delta_ab),
                 policy_b_to_a=policy(delta_ba),
-                slot_limit=int(opts.get("slots", ATTACKER_SLOT_LIMIT)),
-                dust_limit_sat=int(opts.get("dust", 546)),
+                slot_limit=slot_limit,
+                dust_limit_sat=dust_limit_sat,
             )
             self._record(line_no, f"open {cid}", True)
         except SimulatorError as exc:
@@ -830,18 +820,16 @@ class _ScenarioRunner:
 
     def _send(self, args: list[str], line_no: int) -> tuple[str, Exception | None]:
         """Parse and send one ``pay`` command: (payment id, the error it raised)."""
-        if len(args) < 4:
-            raise ScenarioParseError(
-                line_no, "pay needs: id amount_msat sender route [hold] [final=N]"
-            )
-        payment_id, amount, sender = args[0], int(args[1]), args[2]
+        _require(args, 4, "pay needs: id amount_msat sender route [hold] [final=N]", line_no)
+        payment_id, sender = args[0], args[2]
+        amount = _parse_int(args[1], "amount_msat", line_no)
         path = _expand_route(args[3], line_no)
         kwargs: dict = {"hold": False, "final_expiry": None, "payment_hash": None}
         for tok in args[4:]:
             if tok == "hold":
                 kwargs["hold"] = True
             elif tok.startswith("final="):
-                kwargs["final_expiry"] = int(tok.split("=", 1)[1])
+                kwargs["final_expiry"] = _parse_int(tok.split("=", 1)[1], "final", line_no)
             elif tok.startswith("hash="):
                 kwargs["payment_hash"] = tok.split("=", 1)[1]
             else:
@@ -859,24 +847,28 @@ class _ScenarioRunner:
 
     def _resolve(self, verb: str, args: list[str], line_no: int) -> None:
         """``fulfill`` or ``fail`` one pending payment."""
+        _require(args, 1, f"{verb} needs: payment_id", line_no)
         try:
             getattr(self.net, f"{verb}_payment")(args[0])
             self._record(line_no, f"{verb} {args[0]}", True)
-        except (IndexError, SimulatorError) as exc:
+        except SimulatorError as exc:
             self._record(line_no, verb, False, str(exc))
 
     _cmd_fulfill = partialmethod(_resolve, "fulfill")
     _cmd_fail = partialmethod(_resolve, "fail")
 
     def _cmd_advance(self, args: list[str], line_no: int) -> None:
+        _require(args, 1, "advance needs: blocks", line_no)
+        blocks = _parse_int(args[0], "blocks", line_no)
         try:
-            self.net.advance_blocks(int(args[0]))
+            self.net.advance_blocks(blocks)
             self._record(line_no, f"advance {args[0]}", True)
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             self._record(line_no, "advance", False, str(exc))
 
     def _cmd_assert_pending(self, args: list[str], line_no: int) -> None:
-        cid, expected = args[0], int(args[1])
+        _require(args, 2, "assert_pending needs: channel_id count", line_no)
+        cid, expected = args[0], _parse_int(args[1], "count", line_no)
         channel = self.net.channels.get(cid)
         if channel is None:
             self._record(line_no, f"assert_pending {cid}", False, "unknown channel")
@@ -889,7 +881,10 @@ class _ScenarioRunner:
             "" if actual == expected else f"actual {actual}",
         )
 
-    def _assert_state(self, cid: str, want: ChannelState, line_no: int) -> None:
+    def _assert_state(self, verb: str, want: ChannelState, args: list[str], line_no: int) -> None:
+        """``assert_open`` or ``assert_closed``: one channel's state."""
+        _require(args, 1, f"{verb} needs: channel_id", line_no)
+        cid = args[0]
         channel = self.net.channels.get(cid)
         label = f"assert_{want.value} {cid}"
         if channel is None:
@@ -902,11 +897,8 @@ class _ScenarioRunner:
             "" if channel.state is want else f"state {channel.state.value}",
         )
 
-    def _cmd_assert_closed(self, args: list[str], line_no: int) -> None:
-        self._assert_state(args[0], ChannelState.FORCE_CLOSED, line_no)
-
-    def _cmd_assert_open(self, args: list[str], line_no: int) -> None:
-        self._assert_state(args[0], ChannelState.OPEN, line_no)
+    _cmd_assert_closed = partialmethod(_assert_state, "assert_closed", ChannelState.FORCE_CLOSED)
+    _cmd_assert_open = partialmethod(_assert_state, "assert_open", ChannelState.OPEN)
 
     def _cmd_assert_fails(self, args: list[str], line_no: int) -> None:
         reason = None

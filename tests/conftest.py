@@ -21,6 +21,16 @@ def mixed_mesh():
 
 
 @pytest.fixture
+def small_channel_mesh():
+    """Mixed-implementation 120-node snapshot of 100k-5M sat channels, where
+    some network and isolation replays fail: (snapshot, graph, labels)."""
+    snapshot = netgen.random_snapshot(
+        120, 240, seed=3, impl_names=netgen.IMPL_NAMES, capacity_range=(100_000, 5_000_000)
+    )
+    return snapshot, build_graph(snapshot), tag_nodes(snapshot)
+
+
+@pytest.fixture
 def barbell():
     """Two LND K6 cliques and one bridge: (snapshot, graph, labels)."""
     snapshot = netgen.barbell_snapshot()

@@ -177,6 +177,21 @@ def test_simulate_failing_scenario_exits_4(tmp_path, capsys):
     assert main(["simulate", "--scenario", str(worse)]) == 2
 
 
+def test_simulate_malformed_lines_are_input_errors(tmp_path, capsys):
+    script = tmp_path / "bad.scn"
+    lines = [
+        "open c1 A B 1000000\nassert_pending c1", "assert_open", "open c1 A B x",
+        "pay p1 abc A c1", "open c1 A B 1000 slots=x",
+        "open c1 A B 1000000\npay p1 5000 A c1 final=z", "fail", "advance x",
+    ]
+    for text in lines:
+        script.write_text(text + "\n")
+        assert main(["simulate", "--scenario", str(script)]) == 2, text
+    err = capsys.readouterr().err
+    assert err.count("error: line ") == len(lines)
+    assert "Traceback" not in err
+
+
 def test_verify_plan_rejects_malformed_input(snapshot_file, tmp_path, capsys):
     bogus = tmp_path / "plan.json"
 

@@ -1,6 +1,7 @@
 """Payment sizing and cost separation."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +15,7 @@ from lnjam.cost import (
 )
 from lnjam.inference import tag_nodes
 from lnjam.planner import PlannerConfig, choose_routes, plan_network_attack
+from lnjam.simulator import execute_plan
 from lnjam.topology import (
     MAINNET_DEFAULTS,
     ImplLabel,
@@ -112,6 +114,18 @@ def test_dust_floor_uses_the_largest_along_the_route():
     assert hop_amounts_msat(route, graph_cl, cl_labels)[-1] == 546_000
     mixed = dict(cl_labels, n01=ImplLabel.LND)
     assert hop_amounts_msat(route, graph_cl, mixed)[-1] == 573_000
+
+
+def test_zero_floors_still_carry_one_msat():
+    # No dust limit and no announced minimum: the floor is one msat, not a
+    # zero-amount payment that the simulator refuses.
+    defaults = replace(MAINNET_DEFAULTS, lnd=replace(MAINNET_DEFAULTS.lnd, dust_limit_sat=0))
+    graph, labels = _lnd_line(2, min_htlc=0, fee_base_msat=0, fee_rate_milli_msat=0)
+    plan = plan_network_attack(graph, labels, defaults)
+    assert [hop_amounts_msat(r, graph, labels, defaults) for r in plan.routes] == [[1, 1, 1]]
+    report = execute_plan(plan, graph, labels, defaults)
+    assert report.ok
+    assert report.channels_locked == 2
 
 
 # -- plan pricing -------------------------------------------------------------

@@ -12,10 +12,16 @@ from lnjam.simulator import (
     SimNetwork,
     SimulatorError,
     builtin_scenario,
+    execute_plan,
     run_scenario,
 )
 from lnjam.cost import route_amounts
-from lnjam.topology import ChannelPolicy
+from lnjam.inference import tag_nodes
+from lnjam.isolation import plan_isolation
+from lnjam.planner import plan_network_attack
+from lnjam.topology import ChannelPolicy, ImplLabel, build_graph, parse_snapshot
+
+import netgen
 
 
 def _policy(delta=40, min_htlc=1000, base=0, rate=0):
@@ -418,10 +424,6 @@ def test_random_activity_keeps_the_simulator_invariants(actions):
 
 
 def test_from_graph_splits_balances_and_sets_dust():
-    import netgen
-    from lnjam.inference import tag_nodes
-    from lnjam.topology import build_graph
-
     snapshot = netgen.star_snapshot(3, "lnd", "clightning")
     graph = build_graph(snapshot)
     labels = tag_nodes(snapshot)
@@ -433,6 +435,50 @@ def test_from_graph_splits_balances_and_sets_dust():
         assert max(ch.balances.values()) - min(ch.balances.values()) <= 1
         assert ch.dust_limit_sat == 573
         assert ch.slot_limit == 30
+
+
+# -- plan replay --------------------------------------------------------------
+
+
+def test_isolation_replay_funds_fee_heavy_channels():
+    # V-N charges 30 % both ways: every bounce across it costs the attacker
+    # far more than the dust floor it carries.
+    heavy = netgen.policy_json(
+        netgen.DEFAULTS_BY_NAME["lnd"],
+        time_lock_delta=40, min_htlc=1000, fee_base_msat=1000, fee_rate_milli_msat=300_000,
+    )
+    light = netgen.policy_json(netgen.DEFAULTS_BY_NAME["lnd"], fee_rate_milli_msat=1)
+    snapshot = parse_snapshot(netgen.snapshot_json(["V", "N", "X"], [
+        netgen.channel_json("c1", "V", "N", 16_000_000, heavy, heavy),
+        netgen.channel_json("c2", "N", "X", 16_000_000, light, light),
+    ]))
+    graph = build_graph(snapshot)
+    labels = {n: ImplLabel.LND for n in graph.nodes}
+    report = execute_plan(plan_isolation(graph, labels, victim="V"), graph, labels)
+    assert report.failures == []
+    assert report.ok
+    assert (report.channels_locked, report.channels_targeted) == (1, 1)
+
+
+def test_replay_sends_only_held_payments_and_probes(monkeypatch, small_channel_mesh):
+    _, graph, labels = small_channel_mesh
+    calls = []
+    send = SimNetwork.send_payment
+
+    def counting_send(self, payment_id, *args, **kwargs):
+        calls.append(payment_id)
+        return send(self, payment_id, *args, **kwargs)
+
+    monkeypatch.setattr(SimNetwork, "send_payment", counting_send)
+    victims = sorted(graph.nodes, key=lambda n: (-graph.degree(n), n))[:10]
+    plans = [plan_network_attack(graph, labels)]
+    plans += [plan_isolation(graph, labels, victim=v) for v in victims]
+    for plan in plans:
+        calls.clear()
+        report = execute_plan(plan, graph, labels)
+        stopped = sum(" payment " in failure for failure in report.failures)
+        assert len(calls) == report.payments_sent + stopped + report.probes_attempted
+        assert len(calls) == len(set(calls))
 
 
 # -- scenario scripts ---------------------------------------------------------
@@ -498,6 +544,31 @@ def test_scenario_parse_errors_carry_line_numbers():
         run_scenario("pay p1 5000 A ,")
     with pytest.raises(ScenarioParseError, match="key=value"):
         run_scenario("open c1 A B 1000 shiny")
+    # A missing field or a non-integer integer field is malformed input on
+    # every verb, never a traceback or a recorded step.
+    for line, message in [
+        ("assert_pending c1", "assert_pending needs"),
+        ("assert_open", "assert_open needs"),
+        ("assert_closed", "assert_closed needs"),
+        ("fail", "fail needs"),
+        ("fulfill", "fulfill needs"),
+        ("advance", "advance needs"),
+        ("advance x", "blocks must be an integer, got 'x'"),
+        ("open c2 A B x", "capacity_sat must be an integer"),
+        ("open c2 A B 1000 slots=x", "slots must be an integer"),
+        ("open c2 A B 1000 delta_ab=x", "delta_ab must be an integer"),
+        ("pay p1 abc A c1", "amount_msat must be an integer"),
+        ("pay p1 5000 A c1 final=z", "final must be an integer"),
+        ("assert_fails pay p1 abc A c1", "amount_msat must be an integer"),
+    ]:
+        with pytest.raises(ScenarioParseError, match=message) as exc:
+            run_scenario(f"open c1 A B 1000000\n{line}")
+        assert exc.value.line_no == 2, line
+    # Semantic failures stay recorded steps.
+    result = run_scenario("advance 0\nfail p9\nassert_pending c9 1")
+    assert [(s.command, s.ok) for s in result.steps] == [
+        ("advance", False), ("fail", False), ("assert_pending c9", False)
+    ]
 
 
 def test_scenario_failures_do_not_abort_the_run():
