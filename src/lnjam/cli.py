@@ -24,7 +24,13 @@ from pathlib import Path
 from . import __version__
 from .cost import BTC_USD_RATE, USD_PER_CHANNEL_OPEN, estimate_costs, price_plan
 from .inference import announced_policies, score_node, tag_nodes
-from .isolation import MAX_TRAVERSALS, IsolationPlan, isolation_cost_curve, plan_isolation
+from .isolation import (
+    ATTACKER_SLOT_LIMIT,
+    MAX_TRAVERSALS,
+    IsolationPlan,
+    isolation_cost_curve,
+    plan_isolation,
+)
 from .partition import DisconnectionMethod, NonConvergenceError, plan_disconnection
 from .planner import (
     MAX_ROUTE_CHANNELS,
@@ -347,7 +353,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _check_plan_channels(plan: AttackPlan | IsolationPlan, graph: NetworkGraph) -> None:
     """Raise InputError unless every route is a walk with a positive slot
-    class, every isolation payment crosses its channel 1 to MAX_TRAVERSALS
+    class, an isolation plan's entry channels take 1 to ATTACKER_SLOT_LIMIT
+    HTLCs, every isolation payment crosses its channel 1 to MAX_TRAVERSALS
     times, and every channel the plan names is in the graph and joins the
     two nodes the plan says it does."""
     if isinstance(plan, AttackPlan):
@@ -359,6 +366,10 @@ def _check_plan_channels(plan: AttackPlan | IsolationPlan, graph: NetworkGraph) 
                 raise InputError(f"route {i} is not a walk of hops with a positive slot_class")
         joins = [(h.channel_id, h.from_node, h.to_node) for r in plan.routes for h in r.hops]
     else:
+        if not 1 <= plan.entry_budget <= ATTACKER_SLOT_LIMIT:
+            raise InputError(
+                f"entry_budget {plan.entry_budget} outside [1, {ATTACKER_SLOT_LIMIT}]"
+            )
         for c in plan.per_channel:
             if any(not 1 <= p.traversals <= MAX_TRAVERSALS for p in c.payments):
                 raise InputError(

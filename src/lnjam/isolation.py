@@ -94,6 +94,8 @@ class IsolationPlan:
     def attacker_channels_needed(self) -> int:
         if self.total_attacker_slots == 0:
             return 0
+        if self.entry_budget < 1:
+            raise ValueError(f"entry_budget must be positive, got {self.entry_budget}")
         return -(-self.total_attacker_slots // self.entry_budget)
 
     @property

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import partialmethod
 from importlib import resources
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 from . import cost as cost_mod
@@ -355,7 +356,16 @@ class SimNetwork:
                         f"hash already pending on {hop.channel.channel_id}",
                     )
 
-        # All checks passed: each hop becomes its channel's pending HTLC.
+        state = self._commit(payment_id, sender, hops, amount_msat, hold)
+        if not hold:
+            self._settle(state)
+        return payment_id
+
+    def _commit(
+        self, payment_id: str, sender: str, hops: list[Htlc], amount_msat: int, hold: bool
+    ) -> PaymentState:
+        """Record a payment whose checks passed: each hop becomes its
+        channel's pending HTLC."""
         for hop in hops:
             hop.htlc_id = self._next_htlc_id
             self._next_htlc_id += 1
@@ -371,9 +381,66 @@ class SimNetwork:
             amount_msat=amount_msat,
             hold=hold,
         )
-        if not hold:
-            self._settle(state)
-        return payment_id
+        return state
+
+    def hold_payments(
+        self,
+        payment_ids: Sequence[str],
+        sender: str,
+        channel_path: Sequence[str],
+        amount_msat: int,
+    ) -> tuple[int, PaymentError | None]:
+        """Send one held payment per id, all alike, until one is refused:
+        how many went through, and the refusal.
+
+        Equivalent to ``send_payment(payment_id, sender, channel_path,
+        amount_msat, hold=True)`` for each id in turn, stopping at the first
+        ``PaymentError``: same HTLCs, ids, balances and events. A run starts
+        with ``send_payment``, so every check runs on its first payment.
+        Nothing else changes the network inside the run, so the payments
+        after it that fit are as many as the tightest hop admits: its free
+        slots over the slots one payment takes there, or its side's balance
+        over the escrow one payment takes there. Those are committed as
+        copies of the first payment's hops, and the next payment starts a
+        new run, whose ``send_payment`` refuses it as the loop would.
+        """
+        sent = 0
+        while sent < len(payment_ids):
+            try:
+                self.send_payment(payment_ids[sent], sender, channel_path, amount_msat, hold=True)
+            except PaymentError as exc:
+                return sent, exc
+            hops = self.payments[payment_ids[sent]].hops
+            sent += 1
+            for payment_id in payment_ids[sent : sent + self._copies_that_fit(hops)]:
+                if payment_id in self.payments:
+                    break  # the next run's send_payment rejects the reused id
+                payment_hash = f"h:{payment_id}"
+                copies = [
+                    Htlc(h.channel, h.from_node, h.to_node, payment_hash,
+                         h.amount_msat, h.expiry_height)
+                    for h in hops
+                ]
+                self._commit(payment_id, sender, copies, amount_msat, hold=True)
+                sent += 1
+        return sent, None
+
+    def _copies_that_fit(self, hops: list[Htlc]) -> int:
+        """How many more payments with these hops pass the slot and balance
+        checks; none when each payment's hash must be checked."""
+        if self.reject_duplicate_hash:
+            return 0
+        slots = Counter(h.channel.channel_id for h in hops)
+        escrow: Counter[tuple[str, str]] = Counter()
+        for h in hops:
+            escrow[h.channel.channel_id, h.from_node] += h.amount_msat
+        return min(
+            min(
+                (h.channel.slot_limit - len(h.channel.pending)) // slots[h.channel.channel_id],
+                h.channel.balances[h.from_node] // escrow[h.channel.channel_id, h.from_node],
+            )
+            for h in hops
+        )
 
     def _settle(self, state: PaymentState) -> None:
         for hop in reversed(state.hops):
@@ -500,16 +567,11 @@ def _open_attacker_channel(net: SimNetwork, channel_id: str, peer: str, slot_lim
 
 
 def _try_send(
-    net: SimNetwork,
-    payment_id: str,
-    sender: str,
-    path: Sequence[str],
-    amount_msat: int,
-    hold: bool = False,
+    net: SimNetwork, payment_id: str, sender: str, path: Sequence[str], amount_msat: int
 ) -> FailureReason | None:
     """Send one payment; the reason it failed, or None if it went through."""
     try:
-        net.send_payment(payment_id, sender, path, amount_msat, hold=hold)
+        net.send_payment(payment_id, sender, path, amount_msat)
     except PaymentError as exc:
         return exc.reason
     return None
@@ -533,11 +595,10 @@ def _attack_network(
         entry = _open_attacker_channel(net, f"atk-e{i}", start, ATTACKER_SLOT_LIMIT)
         exit_ = _open_attacker_channel(net, f"atk-x{i}", head, ATTACKER_SLOT_LIMIT)
         path = [entry, *route.channel_ids, exit_]
-        for j in range(route.slot_class):
-            reason = _try_send(net, f"r{i}p{j}", ATTACKER_NODE, path, delivered, hold=True)
-            if reason is not None:
-                failures.append(f"route {i} payment {j + 1}: {reason.value}")
-                break
+        ids = [f"r{i}p{j}" for j in range(route.slot_class)]
+        sent, error = net.hold_payments(ids, ATTACKER_NODE, path, delivered)
+        if error is not None:
+            failures.append(f"route {i} payment {sent + 1}: {error.reason.value}")
         else:
             lock = min(
                 min(h.expiry_height for h in net.channels[cid].pending.values())
@@ -569,12 +630,18 @@ def _attack_isolation(
             exit_neighbor = _open_attacker_channel(
                 net, f"atk-n{idx}", iso.neighbor, ATTACKER_SLOT_LIMIT
             )
-        for j, payment in enumerate(iso.payments):
-            exit_ = entry if payment.ends_at_victim else exit_neighbor
-            path = [entry, *[iso.channel_id] * payment.traversals, exit_]
-            reason = _try_send(net, f"iso{idx}p{j}", ATTACKER_NODE, path, floor, hold=True)
-            if reason is not None:
-                failures.append(f"channel {iso.channel_id} payment {j + 1}: {reason.value}")
+        # One batch per run of payments that cross the channel equally often.
+        done = 0
+        for _, run in groupby(iso.payments, key=lambda p: p.traversals):
+            payments = list(run)
+            exit_ = entry if payments[0].ends_at_victim else exit_neighbor
+            path = [entry, *[iso.channel_id] * payments[0].traversals, exit_]
+            ids = [f"iso{idx}p{j}" for j in range(done, done + len(payments))]
+            sent, error = net.hold_payments(ids, ATTACKER_NODE, path, floor)
+            done += sent
+            if error is not None:
+                reason = error.reason.value
+                failures.append(f"channel {iso.channel_id} payment {done + 1}: {reason}")
                 break
         if target.pending:
             lock = min(h.expiry_height for h in target.pending.values()) - net.block_height
@@ -903,7 +970,10 @@ class _ScenarioRunner:
     def _cmd_assert_fails(self, args: list[str], line_no: int) -> None:
         reason = None
         if args and args[0] != "pay":
-            reason = args[0]
+            try:
+                reason = FailureReason(args[0])
+            except ValueError:
+                raise ScenarioParseError(line_no, f"unknown failure reason {args[0]!r}") from None
             args = args[1:]
         if not args or args[0] != "pay":
             raise ScenarioParseError(line_no, "assert_fails expects a pay command")
@@ -912,10 +982,10 @@ class _ScenarioRunner:
             ok, detail = False, "payment succeeded"
         elif not isinstance(error, PaymentError):
             ok, detail = False, f"misuse: {error}"
-        elif reason is None or error.reason.value == reason:
+        elif reason is None or error.reason is reason:
             ok, detail = True, ""
         else:
-            ok, detail = False, f"failed with {error.reason.value}, expected {reason}"
+            ok, detail = False, f"failed with {error.reason.value}, expected {reason.value}"
         self._record(line_no, f"assert_fails {payment_id}", ok, detail)
 
     def _cmd_assert_succeeds(self, args: list[str], line_no: int) -> None:

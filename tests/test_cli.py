@@ -183,6 +183,7 @@ def test_simulate_malformed_lines_are_input_errors(tmp_path, capsys):
         "open c1 A B 1000000\nassert_pending c1", "assert_open", "open c1 A B x",
         "pay p1 abc A c1", "open c1 A B 1000 slots=x",
         "open c1 A B 1000000\npay p1 5000 A c1 final=z", "fail", "advance x",
+        "open c1 A B 1000000\nassert_fails SlotFul pay p2 5000 A c1",
     ]
     for text in lines:
         script.write_text(text + "\n")
@@ -234,11 +235,15 @@ def test_verify_plan_rejects_malformed_input(snapshot_file, tmp_path, capsys):
         # Out-of-range traversal counts are rejected before any route is built.
         edited(isolation, lambda d: d["per_channel"][0]["payments"][0].update(traversals=0)),
         edited(isolation, lambda d: d["per_channel"][0]["payments"][0].update(traversals=2**62)),
+        # So are entry channels that could hold no HTLC at all.
+        edited(isolation, lambda d: d.update(entry_budget=0)),
+        edited(isolation, lambda d: d.update(entry_budget=-3)),
     ):
         assert verify(doc) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 12
+    assert err.count("error:") == 14
     assert err.count("outside [1, 18]") == 2
+    assert err.count("outside [1, 483]") == 2
     assert "Traceback" not in err
 
 

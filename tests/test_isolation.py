@@ -111,6 +111,9 @@ def test_clightning_victim_is_cheap():
         assert ch.attacker_slots == 4
     assert plan.entry_budget == 30
     assert plan.attacker_channels_needed == 1
+    plan.entry_budget = 0
+    with pytest.raises(ValueError, match="entry_budget must be positive, got 0"):
+        plan.attacker_channels_needed
 
 
 def test_eclair_victim_packs_11_traversals():

@@ -420,6 +420,168 @@ def test_random_activity_keeps_the_simulator_invariants(actions):
         assert set(held) == live | stranded
 
 
+# -- batched held payments ----------------------------------------------------
+
+
+def _snapshot(net):
+    """Everything a payment can change, by value and in order."""
+    return (
+        {cid: dict(ch.balances) for cid, ch in net.channels.items()},
+        {
+            cid: [(k, h.amount_msat, h.expiry_height, h.from_node) for k, h in ch.pending.items()]
+            for cid, ch in net.channels.items()
+        },
+        [
+            (pid, p.status, p.hold, [
+                (h.channel.channel_id, h.from_node, h.to_node, h.payment_hash,
+                 h.amount_msat, h.expiry_height, h.htlc_id)
+                for h in p.hops
+            ])
+            for pid, p in net.payments.items()
+        ],
+        net.events,
+        net._next_htlc_id,
+    )
+
+
+def _hold_one_by_one(net, payment_ids, sender, path, amount):
+    for n, payment_id in enumerate(payment_ids):
+        try:
+            net.send_payment(payment_id, sender, path, amount, hold=True)
+        except PaymentError as exc:
+            return n, exc
+    return len(payment_ids), None
+
+
+def _assert_batch_matches_loop(build, payment_ids, sender, path, amount):
+    """``hold_payments`` and the ``send_payment`` loop, each on a fresh
+    ``build()``, stop at the same payment for the same reason and message and
+    leave the same state behind. Returns that outcome."""
+    results = []
+    for run in (SimNetwork.hold_payments, _hold_one_by_one):
+        net = build()
+        try:
+            sent, error = run(net, payment_ids, sender, path, amount)
+        except SimulatorError as exc:
+            outcome = ("misuse", str(exc))
+        else:
+            outcome = (sent, None) if error is None else (sent, error.reason, str(error))
+        results.append((outcome, _snapshot(net)))
+    assert results[0] == results[1]
+    return results[0][0]
+
+
+def _weave(slots=483, target_sat=100, entry_slots=483, dust=0, before=(), closed=False, **kw):
+    """atk -e- V -c- N -x- atk: an isolation replay's entry and exit channels
+    around the target ``c``, whose sides hold half of ``target_sat`` each."""
+    net = SimNetwork(**kw)
+    free = _policy(delta=1, min_htlc=1)
+    for cid, a, b in (("e", "atk", "V"), ("x", "N", "atk")):
+        net.open_channel(cid, a, b, 10**6, policy_a_to_b=free, policy_b_to_a=free,
+                         slot_limit=entry_slots, balances=(5 * 10**8, 5 * 10**8))
+    half = target_sat * 500
+    net.open_channel("c", "V", "N", target_sat, policy_a_to_b=_policy(delta=10),
+                     policy_b_to_a=_policy(delta=10), slot_limit=slots, dust_limit_sat=dust,
+                     balances=(half, half))
+    for payment_id, payment_hash in before:
+        net.send_payment(payment_id, "V", ["c"], 1000, hold=True, payment_hash=payment_hash)
+    if closed:
+        net.send_payment("old", "V", ["c"], 1000, hold=True)
+        net.advance_blocks(net.locktime_max + 1)
+    return net
+
+
+_IDS = [f"b{n}" for n in range(6)]
+_BOUNCE = ["e", "c", "c", "e"]  # entry channel = exit channel
+
+
+@pytest.mark.parametrize("build, payment_ids, path, amount, expected", [
+    # A channel repeated in the path: four traversals take 4 of c's 10 slots.
+    (dict(slots=10), _IDS, ["e", "c", "c", "c", "c", "e"], 2000, (2, FailureReason.SLOT_FULL)),
+    (dict(slots=7), _IDS, ["e", "c", "c", "c", "x"], 2000, (2, FailureReason.SLOT_FULL)),
+    # The entry channel, which is also the exit, binds first.
+    (dict(entry_slots=5), _IDS, _BOUNCE, 2000, (2, FailureReason.SLOT_FULL)),
+    # Each side of c escrows 2000 msat per payment out of 5000.
+    (dict(target_sat=10), _IDS, _BOUNCE, 2000, (2, FailureReason.INSUFFICIENT_BALANCE)),
+    # Both bounds stop the third payment; the slot check runs first.
+    (dict(target_sat=10, slots=4), _IDS, _BOUNCE, 2000, (2, FailureReason.SLOT_FULL)),
+    (dict(), _IDS, _BOUNCE, 2000, (6, None)),
+    (dict(), [], _BOUNCE, 2000, (0, None)),
+    # The first payment is refused by a check that holds for the whole batch.
+    (dict(dust=3), _IDS, _BOUNCE, 2000, (0, FailureReason.BELOW_DUST)),
+    (dict(), _IDS, _BOUNCE, 999, (0, FailureReason.AMOUNT_BELOW_MINIMUM)),
+    (dict(locktime_max=29), _IDS, _BOUNCE, 2000, (0, FailureReason.LOCKTIME_EXCEEDED)),
+    (dict(locktime_max=30, closed=True), _IDS, _BOUNCE, 2000, (0, FailureReason.CHANNEL_CLOSED)),
+    # Every hash is checked: the third payment's is already pending on c.
+    (dict(reject_duplicate_hash=True, before=[("old", "h:b2")]), _IDS, _BOUNCE, 2000,
+     (2, FailureReason.DUPLICATE_HASH)),
+    (dict(before=[("old", "h:b2")]), _IDS, _BOUNCE, 2000, (6, None)),
+    # A reused payment id is misuse, raised after the payments before it.
+    (dict(), ["b0", "b1", "b0"], _BOUNCE, 2000, ("misuse", "duplicate payment id b0")),
+    (dict(before=[("b3", None)]), _IDS, _BOUNCE, 2000, ("misuse", "duplicate payment id b3")),
+], ids=[
+    "weave", "odd-weave", "entry-is-exit", "balance", "slot-and-balance", "all-fit", "no-ids",
+    "dust", "minimum", "locktime", "closed", "duplicate-hash", "hash-unchecked", "reused-id",
+    "taken-id",
+])
+def test_hold_payments_matches_the_send_payment_loop(build, payment_ids, path, amount, expected):
+    outcome = _assert_batch_matches_loop(
+        lambda: _weave(**build), payment_ids, "atk", path, amount
+    )
+    assert outcome[:2] == expected
+
+
+_batch_case = st.fixed_dictionaries({
+    "slots": st.lists(st.integers(1, 8) | st.just(483), min_size=len(_MESH), max_size=len(_MESH)),
+    "capacities": st.lists(st.integers(50, 2000), min_size=len(_MESH), max_size=len(_MESH)),
+    "shares": st.lists(st.integers(10, 90), min_size=len(_MESH), max_size=len(_MESH)),
+    "reject_duplicate_hash": st.booleans(),
+    "locktime_max": st.sampled_from([2016, 60]),
+    "before": st.lists(st.tuples(_route, st.integers(1000, 20_000)), max_size=6),
+    "advance": st.integers(0, 60),
+    "route": _route,
+    "amount": st.integers(3000, 60_000),
+    "count": st.integers(1, 30),
+})
+
+
+def _batch_mesh(case):
+    """``_MESH`` with drawn slot limits, capacities and balance shares, a few
+    held payments already pending, and maybe some blocks mined."""
+    net = SimNetwork(
+        locktime_max=case["locktime_max"], reject_duplicate_hash=case["reject_duplicate_hash"]
+    )
+    for (cid, a, b, _, _, dust, policy), slots, capacity, share in zip(
+        _MESH, case["slots"], case["capacities"], case["shares"]
+    ):
+        msat = capacity * 1000
+        net.open_channel(
+            cid, a, b, capacity, policy_a_to_b=policy, policy_b_to_a=policy, slot_limit=slots,
+            dust_limit_sat=dust, balances=(msat * share // 100, msat - msat * share // 100),
+        )
+    for n, ((sender, picks), amount) in enumerate(case["before"]):
+        # Hashes the batch's own payments will carry, for the duplicate-hash check.
+        try:
+            net.send_payment(f"old{n}", f"n{sender}", _walk(net, sender, picks), amount,
+                             hold=True, payment_hash=f"h:b{n}")
+        except PaymentError:
+            pass
+    if case["advance"]:
+        net.advance_blocks(case["advance"])
+    return net
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(case=_batch_case)
+def test_hold_payments_matches_the_loop_on_random_networks(case):
+    sender, picks = case["route"]
+    path = _walk(_batch_mesh(case), sender, picks)
+    payment_ids = [f"b{n}" for n in range(case["count"])]
+    _assert_batch_matches_loop(
+        lambda: _batch_mesh(case), payment_ids, f"n{sender}", path, case["amount"]
+    )
+
+
 # -- from_graph ---------------------------------------------------------------
 
 
@@ -463,13 +625,21 @@ def test_isolation_replay_funds_fee_heavy_channels():
 def test_replay_sends_only_held_payments_and_probes(monkeypatch, small_channel_mesh):
     _, graph, labels = small_channel_mesh
     calls = []
-    send = SimNetwork.send_payment
+    send, hold = SimNetwork.send_payment, SimNetwork.hold_payments
 
     def counting_send(self, payment_id, *args, **kwargs):
         calls.append(payment_id)
         return send(self, payment_id, *args, **kwargs)
 
+    def counting_hold(self, payment_ids, *args):
+        # Also count the payments a batch commits without a send_payment call.
+        sent, error = hold(self, payment_ids, *args)
+        attempted = set(calls)
+        calls.extend(p for p in payment_ids[:sent] if p not in attempted)
+        return sent, error
+
     monkeypatch.setattr(SimNetwork, "send_payment", counting_send)
+    monkeypatch.setattr(SimNetwork, "hold_payments", counting_hold)
     victims = sorted(graph.nodes, key=lambda n: (-graph.degree(n), n))[:10]
     plans = [plan_network_attack(graph, labels)]
     plans += [plan_isolation(graph, labels, victim=v) for v in victims]
@@ -560,6 +730,8 @@ def test_scenario_parse_errors_carry_line_numbers():
         ("pay p1 abc A c1", "amount_msat must be an integer"),
         ("pay p1 5000 A c1 final=z", "final must be an integer"),
         ("assert_fails pay p1 abc A c1", "amount_msat must be an integer"),
+        # The expected reason is one of the FailureReason values.
+        ("assert_fails SlotFul pay p2 5000 A c1", "unknown failure reason 'SlotFul'"),
     ]:
         with pytest.raises(ScenarioParseError, match=message) as exc:
             run_scenario(f"open c1 A B 1000000\n{line}")
