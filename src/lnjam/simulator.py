@@ -4,7 +4,9 @@ Models channels as shared-slot HTLC state machines: a payment adds one
 pending HTLC per hop, escrowed from the side it leaves, with block-height
 expiries cascading downward by each hop's forwarding delta. Held payments
 stay pending until fulfilled, failed, or their expiry forces the holding
-channel shut. Non-held payments settle immediately.
+channel shut. Non-held payments settle immediately. A batch of held
+payments alike but for their ids is stored as one run record per hop, and
+a member gets HTLCs of its own only when it is fulfilled or failed.
 
 A line-oriented scenario format drives the simulator for regression scripts;
 ``execute_plan`` bridges planner output into a simulated network and checks
@@ -15,12 +17,14 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from functools import partialmethod
 from importlib import resources
-from itertools import groupby
-from typing import Iterable, Mapping, Sequence
+from itertools import chain, groupby
+from operator import attrgetter
+from typing import ClassVar, Iterable, Sequence
 
 from . import cost as cost_mod
 from .isolation import ATTACKER_SLOT_LIMIT, IsolationPlan
@@ -86,7 +90,11 @@ class PaymentStatus(Enum):
 
 @dataclass
 class SimChannel:
-    """One channel: balances per side, shared-slot pending HTLC set."""
+    """One channel: balances per side, shared-slot pending HTLC set.
+
+    The pending HTLCs are the single ones in ``pending`` plus every member
+    of the held runs in ``runs``; ``htlcs()`` lists them all.
+    """
 
     channel_id: str
     node_a: str
@@ -99,6 +107,7 @@ class SimChannel:
     dust_limit_sat: int
     state: ChannelState = ChannelState.OPEN
     pending: dict[int, Htlc] = field(default_factory=dict)
+    runs: list[HtlcRun] = field(default_factory=list)
 
     def other_endpoint(self, node: str) -> str:
         if node == self.node_a:
@@ -114,9 +123,27 @@ class SimChannel:
             return self.policy_b_to_a
         raise SimulatorError(f"{node} is not an endpoint of {self.channel_id}")
 
+    def slots_used(self) -> int:
+        """How many HTLC slots the pending HTLCs take."""
+        return len(self.pending) + sum(len(run.payment_ids) for run in self.runs)
+
+    def min_expiry(self) -> int | None:
+        """The lowest expiry height of a pending HTLC; None if there is none."""
+        return min(
+            (h.expiry_height for h in chain(self.pending.values(), self.runs)), default=None
+        )
+
+    def htlcs(self) -> list[Htlc]:
+        """Every pending HTLC in HTLC-id order, runs expanded: what
+        ``pending`` would hold had each payment been sent on its own."""
+        copies = [run.htlc(k) for run in self.runs for k in range(len(run.payment_ids))]
+        return sorted(chain(self.pending.values(), copies), key=attrgetter("htlc_id"))
+
     def conserves_capacity(self) -> bool:
-        total = sum(self.balances.values()) + sum(
-            h.amount_msat for h in self.pending.values()
+        total = (
+            sum(self.balances.values())
+            + sum(h.amount_msat for h in self.pending.values())
+            + sum(run.amount_msat * len(run.payment_ids) for run in self.runs)
         )
         return total == self.capacity_sat * MSAT_PER_SAT
 
@@ -136,6 +163,28 @@ class Htlc:
     htlc_id: int = -1
 
 
+@dataclass(eq=False, slots=True)
+class HtlcRun:
+    """One hop of a run of held payments alike but for their ids, pending on
+    ``channel``: member ``k`` is payment ``payment_ids[k]``, whose HTLC here
+    has id ``first_id + k * stride`` and hash ``h:<payment id>``."""
+
+    channel: SimChannel
+    from_node: str
+    to_node: str
+    amount_msat: int
+    expiry_height: int
+    first_id: int
+    stride: int
+    payment_ids: list[str]
+
+    def htlc(self, k: int) -> Htlc:
+        """Member ``k``'s HTLC."""
+        payment_id = self.payment_ids[k]
+        return Htlc(self.channel, self.from_node, self.to_node, f"h:{payment_id}",
+                    self.amount_msat, self.expiry_height, self.first_id + k * self.stride)
+
+
 @dataclass
 class PaymentState:
     payment_id: str
@@ -144,20 +193,64 @@ class PaymentState:
     status: PaymentStatus = PaymentStatus.PENDING
 
 
+@dataclass(eq=False, slots=True)
+class HeldRun:
+    """The payments of one run: they share this record, and are pending,
+    until one of them is fulfilled or failed. ``hops[j]`` holds every
+    member's HTLC on hop ``j``."""
+
+    payment_ids: list[str]
+    hops: list[HtlcRun]
+    hold: ClassVar[bool] = True
+
+    def member(self, payment_id: str) -> PaymentState:
+        """A member's state, its HTLCs built from the run's."""
+        k = self.payment_ids.index(payment_id)
+        return PaymentState(payment_id, [hop.htlc(k) for hop in self.hops], hold=True)
+
+
+class Payments(Mapping[str, PaymentState]):
+    """Every payment's state by id, over the records ``SimNetwork`` keeps:
+    a ``PaymentState`` per payment, or a ``HeldRun`` its run's members
+    share, whose states are built when looked up."""
+
+    def __init__(self, records: dict[str, PaymentState | HeldRun]):
+        self._records = records
+
+    def __getitem__(self, payment_id: str) -> PaymentState:
+        record = self._records[payment_id]
+        return record.member(payment_id) if isinstance(record, HeldRun) else record
+
+    def __contains__(self, payment_id: object) -> bool:
+        return payment_id in self._records
+
+    def __iter__(self):
+        return iter(self._records)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+
 class SimNetwork:
-    """A deterministic network of simulated channels."""
+    """A deterministic network of simulated channels.
+
+    ``events``, if given, is the list every event is appended to; without
+    one the network keeps no log.
+    """
 
     def __init__(
         self,
         locktime_max: int = LOCKTIME_MAX,
         reject_duplicate_hash: bool = False,
+        events: list[dict] | None = None,
     ):
         self.locktime_max = locktime_max
         self.reject_duplicate_hash = reject_duplicate_hash
         self.block_height = 0
         self.channels: dict[str, SimChannel] = {}
-        self.payments: dict[str, PaymentState] = {}
-        self.events: list[dict] = []
+        self._payments: dict[str, PaymentState | HeldRun] = {}
+        self.payments = Payments(self._payments)
+        self.events = events
         self._next_htlc_id = 1
 
     # -- construction ------------------------------------------------------
@@ -329,7 +422,7 @@ class SimNetwork:
         adds: Counter[str] = Counter()
         for hop in hops:
             adds[hop.channel.channel_id] += 1
-            if len(hop.channel.pending) + adds[hop.channel.channel_id] > hop.channel.slot_limit:
+            if hop.channel.slots_used() + adds[hop.channel.channel_id] > hop.channel.slot_limit:
                 raise PaymentError(
                     FailureReason.SLOT_FULL,
                     f"channel {hop.channel.channel_id} at its"
@@ -348,9 +441,7 @@ class SimNetwork:
 
         if self.reject_duplicate_hash:
             for hop in hops:
-                if any(
-                    h.payment_hash == payment_hash for h in hop.channel.pending.values()
-                ):
+                if any(h.payment_hash == payment_hash for h in hop.channel.htlcs()):
                     raise PaymentError(
                         FailureReason.DUPLICATE_HASH,
                         f"hash already pending on {hop.channel.channel_id}",
@@ -372,7 +463,7 @@ class SimNetwork:
             hop.channel.balances[hop.from_node] -= hop.amount_msat
             hop.channel.pending[hop.htlc_id] = hop
         state = PaymentState(payment_id=payment_id, hops=hops, hold=hold)
-        self.payments[payment_id] = state
+        self._payments[payment_id] = state
         self._log(
             "send",
             payment=payment_id,
@@ -395,14 +486,14 @@ class SimNetwork:
 
         Equivalent to ``send_payment(payment_id, sender, channel_path,
         amount_msat, hold=True)`` for each id in turn, stopping at the first
-        ``PaymentError``: same HTLCs, ids, balances and events. A run starts
-        with ``send_payment``, so every check runs on its first payment.
-        Nothing else changes the network inside the run, so the payments
-        after it that fit are as many as the tightest hop admits: its free
-        slots over the slots one payment takes there, or its side's balance
-        over the escrow one payment takes there. Those are committed as
-        copies of the first payment's hops, and the next payment starts a
-        new run, whose ``send_payment`` refuses it as the loop would.
+        ``PaymentError``: same HTLCs, ids, balances and events. A batch
+        starts with ``send_payment``, so every check runs on its first
+        payment. Nothing else changes the network inside the batch, so the
+        payments after it that fit are as many as the tightest hop admits:
+        its free slots over the slots one payment takes there, or its side's
+        balance over the escrow one payment takes there. Those go in as one
+        run, ``_hold_run``, and the next payment starts a new batch, whose
+        ``send_payment`` refuses it as the loop would.
         """
         sent = 0
         while sent < len(payment_ids):
@@ -410,20 +501,35 @@ class SimNetwork:
                 self.send_payment(payment_ids[sent], sender, channel_path, amount_msat, hold=True)
             except PaymentError as exc:
                 return sent, exc
-            hops = self.payments[payment_ids[sent]].hops
+            hops = self._payments[payment_ids[sent]].hops
             sent += 1
+            run = HeldRun([], [])
             for payment_id in payment_ids[sent : sent + self._copies_that_fit(hops)]:
-                if payment_id in self.payments:
-                    break  # the next run's send_payment rejects the reused id
-                payment_hash = f"h:{payment_id}"
-                copies = [
-                    Htlc(h.channel, h.from_node, h.to_node, payment_hash,
-                         h.amount_msat, h.expiry_height)
-                    for h in hops
-                ]
-                self._commit(payment_id, sender, copies, amount_msat, hold=True)
-                sent += 1
+                if payment_id in self._payments:
+                    break  # the next batch's send_payment rejects the reused id
+                self._payments[payment_id] = run
+                run.payment_ids.append(payment_id)
+            if run.payment_ids:
+                self._hold_run(run, sender, hops, amount_msat)
+                sent += len(run.payment_ids)
         return sent, None
+
+    def _hold_run(self, run: HeldRun, sender: str, hops: list[Htlc], amount_msat: int) -> None:
+        """Commit the payments ``run`` already records as copies of ``hops``
+        but for their ids: one ``HtlcRun`` per hop, HTLC ids numbered as if
+        each payment in turn took one per hop."""
+        count, stride = len(run.payment_ids), len(hops)
+        for j, h in enumerate(hops):
+            hop = HtlcRun(h.channel, h.from_node, h.to_node, h.amount_msat, h.expiry_height,
+                          self._next_htlc_id + j, stride, run.payment_ids)
+            hop.channel.balances[hop.from_node] -= hop.amount_msat * count
+            hop.channel.runs.append(hop)
+            run.hops.append(hop)
+        self._next_htlc_id += count * stride
+        if self.events is not None:
+            for payment_id in run.payment_ids:
+                self._log("send", payment=payment_id, sender=sender, hops=stride,
+                          amount_msat=amount_msat, hold=True)
 
     def _copies_that_fit(self, hops: list[Htlc]) -> int:
         """How many more payments with these hops pass the slot and balance
@@ -436,7 +542,7 @@ class SimNetwork:
             escrow[h.channel.channel_id, h.from_node] += h.amount_msat
         return min(
             min(
-                (h.channel.slot_limit - len(h.channel.pending)) // slots[h.channel.channel_id],
+                (h.channel.slot_limit - h.channel.slots_used()) // slots[h.channel.channel_id],
                 h.channel.balances[h.from_node] // escrow[h.channel.channel_id, h.from_node],
             )
             for h in hops
@@ -474,11 +580,32 @@ class SimNetwork:
         self._log("fail", payment=payment_id)
 
     def _pending_payment(self, payment_id: str) -> PaymentState:
-        state = self.payments.get(payment_id)
+        state = self._payments.get(payment_id)
         if state is None:
             raise SimulatorError(f"unknown payment {payment_id}")
+        if isinstance(state, HeldRun):
+            return self._split_run(state, payment_id)
         if state.status is not PaymentStatus.PENDING:
             raise SimulatorError(f"payment {payment_id} already {state.status.value}")
+        return state
+
+    def _split_run(self, run: HeldRun, payment_id: str) -> PaymentState:
+        """Give one member of a run HTLCs of its own; the members before and
+        after it stay runs."""
+        k = run.payment_ids.index(payment_id)
+        state = run.member(payment_id)
+        parts = HeldRun(run.payment_ids[:k], []), HeldRun(run.payment_ids[k + 1 :], [])
+        for hop, htlc in zip(run.hops, state.hops):
+            hop.channel.runs.remove(hop)
+            hop.channel.pending[htlc.htlc_id] = htlc
+            for part, first_id in zip(parts, (hop.first_id, htlc.htlc_id + hop.stride)):
+                if part.payment_ids:
+                    piece = replace(hop, first_id=first_id, payment_ids=part.payment_ids)
+                    hop.channel.runs.append(piece)
+                    part.hops.append(piece)
+        for part in parts:
+            self._payments.update(dict.fromkeys(part.payment_ids, part))
+        self._payments[payment_id] = state
         return state
 
     # -- time --------------------------------------------------------------
@@ -498,7 +625,8 @@ class SimNetwork:
             channel = self.channels[cid]
             if channel.state is not ChannelState.OPEN:
                 continue
-            if any(h.expiry_height < self.block_height for h in channel.pending.values()):
+            expiry = channel.min_expiry()
+            if expiry is not None and expiry < self.block_height:
                 channel.state = ChannelState.FORCE_CLOSED
                 closed.append(cid)
                 self._log("force_close", channel=cid, height=self.block_height)
@@ -506,6 +634,8 @@ class SimNetwork:
         return closed
 
     def _log(self, event: str, **detail) -> None:
+        if self.events is None:
+            return
         entry = {"event": event, "height": self.block_height}
         entry.update(detail)
         self.events.append(entry)
@@ -601,8 +731,7 @@ def _attack_network(
             failures.append(f"route {i} payment {sent + 1}: {error.reason.value}")
         else:
             lock = min(
-                min(h.expiry_height for h in net.channels[cid].pending.values())
-                for cid in route.channel_ids
+                net.channels[cid].min_expiry() for cid in route.channel_ids
             ) - net.block_height
             locks.append((i, lock))
     return failures, locks
@@ -643,9 +772,9 @@ def _attack_isolation(
                 reason = error.reason.value
                 failures.append(f"channel {iso.channel_id} payment {done + 1}: {reason}")
                 break
-        if target.pending:
-            lock = min(h.expiry_height for h in target.pending.values()) - net.block_height
-            locks.append((idx, lock))
+        expiry = target.min_expiry()
+        if expiry is not None:
+            locks.append((idx, expiry - net.block_height))
     return failures, locks
 
 
@@ -662,16 +791,17 @@ def _check_and_report(
     ``net`` holds the targeted channels plus those the attacker opened, and
     every held payment in it is one the plan sent.
     """
-    payments_sent = sum(p.hold for p in net.payments.values())
+    payments_sent = sum(p.hold for p in net._payments.values())
     attacker_channels = len(net.channels) - len(set(targeted))
     locked = 0
     probes_blocked = 0
     for n, cid in enumerate(targeted):
         channel = net.channels[cid]
-        if len(channel.pending) == channel.slot_limit:
+        used = channel.slots_used()
+        if used == channel.slot_limit:
             locked += 1
         else:
-            failures.append(f"channel {cid}: {len(channel.pending)}/{channel.slot_limit} slots")
+            failures.append(f"channel {cid}: {used}/{channel.slot_limit} slots")
         policy = channel.policy_from(channel.node_a)
         amount = cost_mod.floor_msat(channel.dust_limit_sat, [policy])
         reason = _try_send(net, f"probe{n}", channel.node_a, [cid], amount)
@@ -940,7 +1070,7 @@ class _ScenarioRunner:
         if channel is None:
             self._record(line_no, f"assert_pending {cid}", False, "unknown channel")
             return
-        actual = len(channel.pending)
+        actual = channel.slots_used()
         self._record(
             line_no,
             f"assert_pending {cid} {expected}",
@@ -1004,7 +1134,7 @@ def run_scenario(script: str, reject_duplicate_hash: bool = False) -> ScenarioRe
     ``repeat N <cmd>`` expands ``{i}`` for i = 1..N. Route tokens are
     comma-separated channel ids with an optional ``*N`` repeat suffix.
     """
-    net = SimNetwork(reject_duplicate_hash=reject_duplicate_hash)
+    net = SimNetwork(reject_duplicate_hash=reject_duplicate_hash, events=[])
     return _ScenarioRunner(net).run(script)
 
 

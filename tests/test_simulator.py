@@ -311,7 +311,7 @@ def test_conservation_survives_mixed_activity():
 
 def test_event_log_is_deterministic():
     def run():
-        net = _line_net(2, locktime_max=12, policy=_policy(delta=5))
+        net = _line_net(2, locktime_max=12, policy=_policy(delta=5), events=[])
         net.send_payment("p", "a0", ["c0", "c1"], 5000, hold=True, final_expiry=2)
         net.advance_blocks(8)
         net.fail_payment("p")
@@ -338,6 +338,7 @@ _route = st.tuples(st.integers(0, 3), st.lists(st.integers(0, 5), min_size=1, ma
 _action = st.one_of(
     st.tuples(st.just("send"), _route, st.integers(1000, 400_000), st.booleans()),
     st.tuples(st.just("send_then_fail"), _route, st.integers(1000, 400_000)),
+    st.tuples(st.just("hold_batch"), _route, st.integers(1000, 400_000), st.integers(1, 6)),
     st.tuples(st.sampled_from(["fulfill", "fail"]), st.integers(0, 40)),
     st.tuples(st.just("advance"), st.integers(1, 60)),
 )
@@ -367,7 +368,16 @@ def _walk(net, sender, picks):
 
 
 def _ledger(net):
-    return {cid: (dict(ch.balances), set(ch.pending)) for cid, ch in net.channels.items()}
+    return {
+        cid: (dict(ch.balances), {h.htlc_id for h in ch.htlcs()})
+        for cid, ch in net.channels.items()
+    }
+
+
+def _value(htlc):
+    """An HTLC by value: the copies a held run expands to are new objects."""
+    return (htlc.channel.channel_id, htlc.from_node, htlc.to_node, htlc.payment_hash,
+            htlc.amount_msat, htlc.expiry_height, htlc.htlc_id)
 
 
 @settings(derandomize=True, database=None, deadline=None)
@@ -390,6 +400,10 @@ def test_random_activity_keeps_the_simulator_invariants(actions):
                 if verb == "send_then_fail":
                     net.fail_payment(f"p{step}")
                     assert _ledger(net) == before
+        elif verb == "hold_batch":
+            (sender, picks), amount, count = action[1:]
+            ids = [f"p{step}b{n}" for n in range(count)]
+            net.hold_payments(ids, f"n{sender}", _walk(net, sender, picks), amount)
         elif verb == "advance":
             net.advance_blocks(action[1])
         else:
@@ -402,16 +416,19 @@ def test_random_activity_keeps_the_simulator_invariants(actions):
             except SimulatorError:
                 continue
             if verb == "fail":
-                stranded |= {h for h in state.hops if h.channel.state is ChannelState.FORCE_CLOSED}
+                stranded |= {
+                    _value(h) for h in state.hops if h.channel.state is ChannelState.FORCE_CLOSED
+                }
 
-        held = [h for ch in net.channels.values() for h in ch.pending.values()]
+        held = [_value(h) for ch in net.channels.values() for h in ch.htlcs()]
         for ch in net.channels.values():
             assert ch.conserves_capacity(), ch.channel_id
-            assert len(ch.pending) <= ch.slot_limit, ch.channel_id
-            assert all(h.channel is ch and h.htlc_id == k for k, h in ch.pending.items())
-        # Every pending HTLC is one of its payment's own hops, never a copy.
+            assert ch.slots_used() == len(ch.htlcs()) <= ch.slot_limit, ch.channel_id
+            assert all(h.channel is ch for h in ch.htlcs())
+            assert all(h.htlc_id == k for k, h in ch.pending.items())
+        # Every pending HTLC is one of its pending payment's hops, or stranded.
         live = {
-            h
+            _value(h)
             for p in net.payments.values()
             if p.status is PaymentStatus.PENDING
             for h in p.hops
@@ -427,18 +444,9 @@ def _snapshot(net):
     """Everything a payment can change, by value and in order."""
     return (
         {cid: dict(ch.balances) for cid, ch in net.channels.items()},
-        {
-            cid: [(k, h.amount_msat, h.expiry_height, h.from_node) for k, h in ch.pending.items()]
-            for cid, ch in net.channels.items()
-        },
-        [
-            (pid, p.status, p.hold, [
-                (h.channel.channel_id, h.from_node, h.to_node, h.payment_hash,
-                 h.amount_msat, h.expiry_height, h.htlc_id)
-                for h in p.hops
-            ])
-            for pid, p in net.payments.items()
-        ],
+        {cid: [_value(h) for h in ch.htlcs()] for cid, ch in net.channels.items()},
+        {cid: ch.state for cid, ch in net.channels.items()},
+        [(pid, p.status, p.hold, [_value(h) for h in p.hops]) for pid, p in net.payments.items()],
         net.events,
         net._next_htlc_id,
     )
@@ -453,10 +461,29 @@ def _hold_one_by_one(net, payment_ids, sender, path, amount):
     return len(payment_ids), None
 
 
-def _assert_batch_matches_loop(build, payment_ids, sender, path, amount):
+def _resolve_members(net, payment_ids, after):
+    """Apply each ``after`` action to the batch's payments: ``("advance",
+    n)`` mines n blocks; ``("fail", n)`` or ``("fulfill", n)`` resolves the
+    n-th (modulo) of the batch's payments that went in. Returns what each
+    action returned or the ``SimulatorError`` message it raised."""
+    members = [p for p in payment_ids if p in net.payments]
+    results = []
+    for verb, n in after:
+        try:
+            if verb == "advance":
+                results.append(net.advance_blocks(n))
+            elif members:
+                results.append(getattr(net, f"{verb}_payment")(members[n % len(members)]))
+        except SimulatorError as exc:
+            results.append(str(exc))
+    return results
+
+
+def _assert_batch_matches_loop(build, payment_ids, sender, path, amount, after=()):
     """``hold_payments`` and the ``send_payment`` loop, each on a fresh
-    ``build()``, stop at the same payment for the same reason and message and
-    leave the same state behind. Returns that outcome."""
+    ``build()``, stop at the same payment for the same reason and message,
+    take the ``after`` actions alike and leave the same state behind.
+    Returns the batch's outcome."""
     results = []
     for run in (SimNetwork.hold_payments, _hold_one_by_one):
         net = build()
@@ -466,7 +493,7 @@ def _assert_batch_matches_loop(build, payment_ids, sender, path, amount):
             outcome = ("misuse", str(exc))
         else:
             outcome = (sent, None) if error is None else (sent, error.reason, str(error))
-        results.append((outcome, _snapshot(net)))
+        results.append((outcome, _resolve_members(net, payment_ids, after), _snapshot(net)))
     assert results[0] == results[1]
     return results[0][0]
 
@@ -474,7 +501,7 @@ def _assert_batch_matches_loop(build, payment_ids, sender, path, amount):
 def _weave(slots=483, target_sat=100, entry_slots=483, dust=0, before=(), closed=False, **kw):
     """atk -e- V -c- N -x- atk: an isolation replay's entry and exit channels
     around the target ``c``, whose sides hold half of ``target_sat`` each."""
-    net = SimNetwork(**kw)
+    net = SimNetwork(events=[], **kw)
     free = _policy(delta=1, min_htlc=1)
     for cid, a, b in (("e", "atk", "V"), ("x", "N", "atk")):
         net.open_channel(cid, a, b, 10**6, policy_a_to_b=free, policy_b_to_a=free,
@@ -493,40 +520,59 @@ def _weave(slots=483, target_sat=100, entry_slots=483, dust=0, before=(), closed
 
 _IDS = [f"b{n}" for n in range(6)]
 _BOUNCE = ["e", "c", "c", "e"]  # entry channel = exit channel
+# b0 goes through send_payment; b1..b5 are one run.
+_FIRST, _MIDDLE, _LAST = 1, 3, 5
 
 
-@pytest.mark.parametrize("build, payment_ids, path, amount, expected", [
+@pytest.mark.parametrize("build, payment_ids, path, amount, expected, after", [
     # A channel repeated in the path: four traversals take 4 of c's 10 slots.
-    (dict(slots=10), _IDS, ["e", "c", "c", "c", "c", "e"], 2000, (2, FailureReason.SLOT_FULL)),
-    (dict(slots=7), _IDS, ["e", "c", "c", "c", "x"], 2000, (2, FailureReason.SLOT_FULL)),
+    (dict(slots=10), _IDS, ["e", "c", "c", "c", "c", "e"], 2000, (2, FailureReason.SLOT_FULL), ()),
+    (dict(slots=7), _IDS, ["e", "c", "c", "c", "x"], 2000, (2, FailureReason.SLOT_FULL), ()),
     # The entry channel, which is also the exit, binds first.
-    (dict(entry_slots=5), _IDS, _BOUNCE, 2000, (2, FailureReason.SLOT_FULL)),
+    (dict(entry_slots=5), _IDS, _BOUNCE, 2000, (2, FailureReason.SLOT_FULL), ()),
     # Each side of c escrows 2000 msat per payment out of 5000.
-    (dict(target_sat=10), _IDS, _BOUNCE, 2000, (2, FailureReason.INSUFFICIENT_BALANCE)),
+    (dict(target_sat=10), _IDS, _BOUNCE, 2000, (2, FailureReason.INSUFFICIENT_BALANCE), ()),
     # Both bounds stop the third payment; the slot check runs first.
-    (dict(target_sat=10, slots=4), _IDS, _BOUNCE, 2000, (2, FailureReason.SLOT_FULL)),
-    (dict(), _IDS, _BOUNCE, 2000, (6, None)),
-    (dict(), [], _BOUNCE, 2000, (0, None)),
+    (dict(target_sat=10, slots=4), _IDS, _BOUNCE, 2000, (2, FailureReason.SLOT_FULL), ()),
+    (dict(), _IDS, _BOUNCE, 2000, (6, None), ()),
+    (dict(), [], _BOUNCE, 2000, (0, None), ()),
     # The first payment is refused by a check that holds for the whole batch.
-    (dict(dust=3), _IDS, _BOUNCE, 2000, (0, FailureReason.BELOW_DUST)),
-    (dict(), _IDS, _BOUNCE, 999, (0, FailureReason.AMOUNT_BELOW_MINIMUM)),
-    (dict(locktime_max=29), _IDS, _BOUNCE, 2000, (0, FailureReason.LOCKTIME_EXCEEDED)),
-    (dict(locktime_max=30, closed=True), _IDS, _BOUNCE, 2000, (0, FailureReason.CHANNEL_CLOSED)),
+    (dict(dust=3), _IDS, _BOUNCE, 2000, (0, FailureReason.BELOW_DUST), ()),
+    (dict(), _IDS, _BOUNCE, 999, (0, FailureReason.AMOUNT_BELOW_MINIMUM), ()),
+    (dict(locktime_max=29), _IDS, _BOUNCE, 2000, (0, FailureReason.LOCKTIME_EXCEEDED), ()),
+    (dict(locktime_max=30, closed=True), _IDS, _BOUNCE, 2000,
+     (0, FailureReason.CHANNEL_CLOSED), ()),
     # Every hash is checked: the third payment's is already pending on c.
     (dict(reject_duplicate_hash=True, before=[("old", "h:b2")]), _IDS, _BOUNCE, 2000,
-     (2, FailureReason.DUPLICATE_HASH)),
-    (dict(before=[("old", "h:b2")]), _IDS, _BOUNCE, 2000, (6, None)),
+     (2, FailureReason.DUPLICATE_HASH), ()),
+    (dict(before=[("old", "h:b2")]), _IDS, _BOUNCE, 2000, (6, None), ()),
     # A reused payment id is misuse, raised after the payments before it.
-    (dict(), ["b0", "b1", "b0"], _BOUNCE, 2000, ("misuse", "duplicate payment id b0")),
-    (dict(before=[("b3", None)]), _IDS, _BOUNCE, 2000, ("misuse", "duplicate payment id b3")),
+    (dict(), ["b0", "b1", "b0"], _BOUNCE, 2000, ("misuse", "duplicate payment id b0"), ()),
+    (dict(before=[("b3", None)]), _IDS, _BOUNCE, 2000, ("misuse", "duplicate payment id b3"), ()),
+    (dict(), ["b0", "b1", "b2", "b1"], _BOUNCE, 2000, ("misuse", "duplicate payment id b1"), ()),
+    # Resolving members splits their run; resolving one twice is misuse.
+    (dict(), _IDS, _BOUNCE, 2000, (6, None), [("fail", _FIRST), ("fail", _FIRST)]),
+    (dict(), _IDS, _BOUNCE, 2000, (6, None), [("fail", _MIDDLE), ("fulfill", _MIDDLE - 1)]),
+    (dict(), _IDS, _BOUNCE, 2000, (6, None), [("fail", _LAST), ("fail", 0)]),
+    (dict(), _IDS, ["e", "c", "c", "c", "c", "e"], 2000, (6, None),
+     [("fulfill", _MIDDLE), ("fulfill", _LAST), ("fail", _MIDDLE + 1)]),
+    # At height 1996 only e has expired: its hops stay stranded, c's are released.
+    (dict(), _IDS, _BOUNCE, 2000, (6, None),
+     [("advance", 1996), ("fail", _MIDDLE), ("fulfill", _FIRST), ("advance", 20),
+      ("fail", _LAST)]),
+    # Once b0 has settled, only the run's expiry can close e.
+    (dict(), _IDS, _BOUNCE, 2000, (6, None), [("fulfill", 0), ("advance", 1996)]),
 ], ids=[
     "weave", "odd-weave", "entry-is-exit", "balance", "slot-and-balance", "all-fit", "no-ids",
     "dust", "minimum", "locktime", "closed", "duplicate-hash", "hash-unchecked", "reused-id",
-    "taken-id",
+    "taken-id", "repeat-in-run", "fail-first", "fail-middle", "fail-last", "fulfill-weave",
+    "fail-after-close", "close-over-run",
 ])
-def test_hold_payments_matches_the_send_payment_loop(build, payment_ids, path, amount, expected):
+def test_hold_payments_matches_the_send_payment_loop(
+    build, payment_ids, path, amount, expected, after
+):
     outcome = _assert_batch_matches_loop(
-        lambda: _weave(**build), payment_ids, "atk", path, amount
+        lambda: _weave(**build), payment_ids, "atk", path, amount, after
     )
     assert outcome[:2] == expected
 
@@ -542,6 +588,11 @@ _batch_case = st.fixed_dictionaries({
     "route": _route,
     "amount": st.integers(3000, 60_000),
     "count": st.integers(1, 30),
+    "after": st.lists(
+        st.tuples(st.sampled_from(["fail", "fulfill"]), st.integers(0, 29))
+        | st.tuples(st.just("advance"), st.integers(1, 60)),
+        max_size=8,
+    ),
 })
 
 
@@ -549,7 +600,8 @@ def _batch_mesh(case):
     """``_MESH`` with drawn slot limits, capacities and balance shares, a few
     held payments already pending, and maybe some blocks mined."""
     net = SimNetwork(
-        locktime_max=case["locktime_max"], reject_duplicate_hash=case["reject_duplicate_hash"]
+        locktime_max=case["locktime_max"], reject_duplicate_hash=case["reject_duplicate_hash"],
+        events=[],
     )
     for (cid, a, b, _, _, dust, policy), slots, capacity, share in zip(
         _MESH, case["slots"], case["capacities"], case["shares"]
@@ -578,8 +630,21 @@ def test_hold_payments_matches_the_loop_on_random_networks(case):
     path = _walk(_batch_mesh(case), sender, picks)
     payment_ids = [f"b{n}" for n in range(case["count"])]
     _assert_batch_matches_loop(
-        lambda: _batch_mesh(case), payment_ids, f"n{sender}", path, case["amount"]
+        lambda: _batch_mesh(case), payment_ids, f"n{sender}", path, case["amount"], case["after"]
     )
+
+
+def test_held_copies_take_one_record_per_hop():
+    # The first payment's HTLCs plus one run per hop, however many copies.
+    records = []
+    for count in (4, 400):
+        net = _line_net(3)
+        assert net.hold_payments([f"p{n}" for n in range(count)], "a0", ["c0", "c1", "c2"],
+                                 5000) == (count, None)
+        assert [ch.slots_used() for ch in net.channels.values()] == [count] * 3
+        records.append([len(ch.pending) + len(ch.runs) for ch in net.channels.values()])
+        assert net.events is None  # a network given no sink keeps no log
+    assert records[0] == records[1] == [2, 2, 2]
 
 
 # -- from_graph ---------------------------------------------------------------
