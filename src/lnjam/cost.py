@@ -10,6 +10,7 @@ intermediate HTLC clears its local dust threshold.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -169,8 +170,15 @@ def estimate_costs(
 
     Raises:
         ValueError: when a route has no payment amount (run price_plan, or
-            load a plan priced at planning time).
+            load a plan priced at planning time), when ``usd_per_open`` or
+            ``btc_usd_rate`` is not finite and positive, or when
+            ``batch_discount`` is outside (0, 1].
     """
+    for name, value in (("usd_per_open", usd_per_open), ("btc_usd_rate", btc_usd_rate)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if not 0 < batch_discount <= 1:
+        raise ValueError(f"batch_discount must be in (0, 1], got {batch_discount}")
     per_route = []
     locked_total = 0
     for i, route in enumerate(plan.routes, start=1):

@@ -4,9 +4,11 @@ Models channels as shared-slot HTLC state machines: a payment adds one
 pending HTLC per hop, escrowed from the side it leaves, with block-height
 expiries cascading downward by each hop's forwarding delta. Held payments
 stay pending until fulfilled, failed, or their expiry forces the holding
-channel shut. Non-held payments settle immediately. A batch of held
-payments alike but for their ids is stored as one run record per hop, and
-a member gets HTLCs of its own only when it is fulfilled or failed.
+channel shut. Non-held payments settle immediately. Pending HTLCs are
+stored as runs: payments alike but for their ids share one record per hop.
+A payment sent alone is a run of one, and a batch of held payments extends
+its first payment's run. Fulfilling or failing a member cuts it out of its
+run first.
 
 A line-oriented scenario format drives the simulator for regression scripts;
 ``execute_plan`` bridges planner output into a simulated network and checks
@@ -22,9 +24,9 @@ from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from functools import partialmethod
 from importlib import resources
-from itertools import chain, groupby
+from itertools import groupby
 from operator import attrgetter
-from typing import ClassVar, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import cost as cost_mod
 from .isolation import ATTACKER_SLOT_LIMIT, IsolationPlan
@@ -92,8 +94,8 @@ class PaymentStatus(Enum):
 class SimChannel:
     """One channel: balances per side, shared-slot pending HTLC set.
 
-    The pending HTLCs are the single ones in ``pending`` plus every member
-    of the held runs in ``runs``; ``htlcs()`` lists them all.
+    The pending HTLCs are the members of the runs in ``runs``, keyed by each
+    run's first HTLC id; ``htlcs()`` lists them one by one.
     """
 
     channel_id: str
@@ -106,8 +108,7 @@ class SimChannel:
     slot_limit: int
     dust_limit_sat: int
     state: ChannelState = ChannelState.OPEN
-    pending: dict[int, Htlc] = field(default_factory=dict)
-    runs: list[HtlcRun] = field(default_factory=list)
+    runs: dict[int, HtlcRun] = field(default_factory=dict)
 
     def other_endpoint(self, node: str) -> str:
         if node == self.node_a:
@@ -125,101 +126,101 @@ class SimChannel:
 
     def slots_used(self) -> int:
         """How many HTLC slots the pending HTLCs take."""
-        return len(self.pending) + sum(len(run.payment_ids) for run in self.runs)
+        return sum(len(run.payment_ids) for run in self.runs.values())
 
     def min_expiry(self) -> int | None:
         """The lowest expiry height of a pending HTLC; None if there is none."""
-        return min(
-            (h.expiry_height for h in chain(self.pending.values(), self.runs)), default=None
-        )
+        return min((run.expiry_height for run in self.runs.values()), default=None)
 
     def htlcs(self) -> list[Htlc]:
-        """Every pending HTLC in HTLC-id order, runs expanded: what
-        ``pending`` would hold had each payment been sent on its own."""
-        copies = [run.htlc(k) for run in self.runs for k in range(len(run.payment_ids))]
-        return sorted(chain(self.pending.values(), copies), key=attrgetter("htlc_id"))
+        """Every pending HTLC in HTLC-id order, as if each payment had been
+        sent alone."""
+        copies = (run.htlc(k) for run in self.runs.values() for k in range(len(run.payment_ids)))
+        return sorted(copies, key=attrgetter("htlc_id"))
 
     def conserves_capacity(self) -> bool:
-        total = (
-            sum(self.balances.values())
-            + sum(h.amount_msat for h in self.pending.values())
-            + sum(run.amount_msat * len(run.payment_ids) for run in self.runs)
-        )
-        return total == self.capacity_sat * MSAT_PER_SAT
+        escrow = sum(run.amount_msat * len(run.payment_ids) for run in self.runs.values())
+        return sum(self.balances.values()) + escrow == self.capacity_sat * MSAT_PER_SAT
 
 
-@dataclass(eq=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class Htlc:
-    """One hop of a payment. Once committed it is also the channel's pending
-    HTLC: ``channel.pending[htlc_id]`` holds this very object until the
-    payment settles or fails."""
+    """One pending HTLC, a value built from its run by ``HtlcRun.htlc``."""
 
     channel: SimChannel
     from_node: str
     to_node: str
     payment_hash: str
-    amount_msat: int = 0
-    expiry_height: int = 0
-    htlc_id: int = -1
+    amount_msat: int
+    expiry_height: int
+    htlc_id: int
 
 
 @dataclass(eq=False, slots=True)
 class HtlcRun:
-    """One hop of a run of held payments alike but for their ids, pending on
+    """One hop of a run of payments alike but for their ids, pending on
     ``channel``: member ``k`` is payment ``payment_ids[k]``, whose HTLC here
-    has id ``first_id + k * stride`` and hash ``h:<payment id>``."""
+    has id ``first_id + k * stride`` and hash ``payment_hash``, or
+    ``h:<payment id>`` when that is None. Every hop of a run shares one
+    ``payment_ids`` list with the run's ``PaymentRun``."""
 
     channel: SimChannel
     from_node: str
     to_node: str
-    amount_msat: int
-    expiry_height: int
-    first_id: int
-    stride: int
     payment_ids: list[str]
+    stride: int
+    payment_hash: str | None = None
+    amount_msat: int = 0
+    expiry_height: int = 0
+    first_id: int = -1
 
     def htlc(self, k: int) -> Htlc:
         """Member ``k``'s HTLC."""
-        payment_id = self.payment_ids[k]
-        return Htlc(self.channel, self.from_node, self.to_node, f"h:{payment_id}",
+        payment_hash = self.payment_hash
+        if payment_hash is None:
+            payment_hash = f"h:{self.payment_ids[k]}"
+        return Htlc(self.channel, self.from_node, self.to_node, payment_hash,
                     self.amount_msat, self.expiry_height, self.first_id + k * self.stride)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class PaymentState:
+    """One payment's state, a value built from its run by ``PaymentRun.member``."""
+
     payment_id: str
-    hops: list[Htlc]
+    hops: tuple[Htlc, ...]
     hold: bool
-    status: PaymentStatus = PaymentStatus.PENDING
+    status: PaymentStatus
 
 
 @dataclass(eq=False, slots=True)
-class HeldRun:
-    """The payments of one run: they share this record, and are pending,
-    until one of them is fulfilled or failed. ``hops[j]`` holds every
-    member's HTLC on hop ``j``."""
+class PaymentRun:
+    """The payments of one run, alike but for their ids: ``hops[j]`` holds
+    every member's HTLC on hop ``j``. A payment sent alone is a run of one.
+    The members share this record, and its status, until one of them is
+    fulfilled or failed and is cut out into a run of its own."""
 
     payment_ids: list[str]
     hops: list[HtlcRun]
-    hold: ClassVar[bool] = True
+    hold: bool
+    status: PaymentStatus = PaymentStatus.PENDING
 
     def member(self, payment_id: str) -> PaymentState:
         """A member's state, its HTLCs built from the run's."""
         k = self.payment_ids.index(payment_id)
-        return PaymentState(payment_id, [hop.htlc(k) for hop in self.hops], hold=True)
+        hops = tuple(hop.htlc(k) for hop in self.hops)
+        return PaymentState(payment_id, hops, self.hold, self.status)
 
 
 class Payments(Mapping[str, PaymentState]):
-    """Every payment's state by id, over the records ``SimNetwork`` keeps:
-    a ``PaymentState`` per payment, or a ``HeldRun`` its run's members
-    share, whose states are built when looked up."""
+    """Every payment's state by id, built when looked up from the
+    ``PaymentRun`` that ``SimNetwork`` keeps for it."""
 
-    def __init__(self, records: dict[str, PaymentState | HeldRun]):
+    def __init__(self, records: dict[str, PaymentRun]):
         self._records = records
 
     def __getitem__(self, payment_id: str) -> PaymentState:
-        record = self._records[payment_id]
-        return record.member(payment_id) if isinstance(record, HeldRun) else record
+        return self._records[payment_id].member(payment_id)
 
     def __contains__(self, payment_id: object) -> bool:
         return payment_id in self._records
@@ -248,7 +249,7 @@ class SimNetwork:
         self.reject_duplicate_hash = reject_duplicate_hash
         self.block_height = 0
         self.channels: dict[str, SimChannel] = {}
-        self._payments: dict[str, PaymentState | HeldRun] = {}
+        self._payments: dict[str, PaymentRun] = {}
         self.payments = Payments(self._payments)
         self.events = events
         self._next_htlc_id = 1
@@ -340,9 +341,10 @@ class SimNetwork:
     # -- payments ----------------------------------------------------------
 
     def _resolve_route(
-        self, sender: str, channel_path: Sequence[str], payment_hash: str
-    ) -> list[Htlc]:
-        hops: list[Htlc] = []
+        self, sender: str, channel_path: Sequence[str], payment_id: str, payment_hash: str | None
+    ) -> list[HtlcRun]:
+        """The payment's hops, a run of one with no amounts, expiries or ids yet."""
+        payment_ids, hops = [payment_id], []
         current = sender
         for cid in channel_path:
             channel = self.channels.get(cid)
@@ -351,7 +353,7 @@ class SimNetwork:
             if channel.state is not ChannelState.OPEN:
                 raise PaymentError(FailureReason.CHANNEL_CLOSED, f"channel {cid} is closed")
             nxt = channel.other_endpoint(current)
-            hops.append(Htlc(channel, current, nxt, payment_hash))
+            hops.append(HtlcRun(channel, current, nxt, payment_ids, len(channel_path), payment_hash))
             current = nxt
         return hops
 
@@ -371,7 +373,7 @@ class SimNetwork:
         downstream amount plus the forwarding fee of the hop it feeds.
         Held payments take the maximum total locktime; ordinary payments
         use the sum of forwarding deltas plus the final expiry, and settle
-        immediately on success.
+        immediately on success. The payment goes in as a run of one.
         """
         if payment_id in self.payments:
             raise SimulatorError(f"duplicate payment id {payment_id}")
@@ -384,8 +386,7 @@ class SimNetwork:
                 FailureReason.ROUTE_TOO_LONG,
                 f"{len(channel_path)} hops exceed the {MAX_ROUTE_HOPS}-hop limit",
             )
-        payment_hash = payment_hash if payment_hash is not None else f"h:{payment_id}"
-        hops = self._resolve_route(sender, channel_path, payment_hash)
+        hops = self._resolve_route(sender, channel_path, payment_id, payment_hash)
         policies = [h.channel.policy_from(h.from_node) for h in hops]
         amounts = cost_mod.route_amounts(policies, amount_msat)
         for hop, amount in zip(hops, amounts):
@@ -440,30 +441,21 @@ class SimNetwork:
                 )
 
         if self.reject_duplicate_hash:
+            wanted = hops[0].htlc(0).payment_hash
             for hop in hops:
-                if any(h.payment_hash == payment_hash for h in hop.channel.htlcs()):
+                if any(h.payment_hash == wanted for h in hop.channel.htlcs()):
                     raise PaymentError(
                         FailureReason.DUPLICATE_HASH,
                         f"hash already pending on {hop.channel.channel_id}",
                     )
 
-        state = self._commit(payment_id, sender, hops, amount_msat, hold)
-        if not hold:
-            self._settle(state)
-        return payment_id
-
-    def _commit(
-        self, payment_id: str, sender: str, hops: list[Htlc], amount_msat: int, hold: bool
-    ) -> PaymentState:
-        """Record a payment whose checks passed: each hop becomes its
-        channel's pending HTLC."""
         for hop in hops:
-            hop.htlc_id = self._next_htlc_id
+            hop.first_id = self._next_htlc_id
             self._next_htlc_id += 1
             hop.channel.balances[hop.from_node] -= hop.amount_msat
-            hop.channel.pending[hop.htlc_id] = hop
-        state = PaymentState(payment_id=payment_id, hops=hops, hold=hold)
-        self._payments[payment_id] = state
+            hop.channel.runs[hop.first_id] = hop
+        run = PaymentRun(hops[0].payment_ids, hops, hold)
+        self._payments[payment_id] = run
         self._log(
             "send",
             payment=payment_id,
@@ -472,7 +464,9 @@ class SimNetwork:
             amount_msat=amount_msat,
             hold=hold,
         )
-        return state
+        if not hold:
+            self._settle(run)
+        return payment_id
 
     def hold_payments(
         self,
@@ -491,8 +485,8 @@ class SimNetwork:
         payment. Nothing else changes the network inside the batch, so the
         payments after it that fit are as many as the tightest hop admits:
         its free slots over the slots one payment takes there, or its side's
-        balance over the escrow one payment takes there. Those go in as one
-        run, ``_hold_run``, and the next payment starts a new batch, whose
+        balance over the escrow one payment takes there. Those join the
+        first payment's run, and the next payment starts a new batch, whose
         ``send_payment`` refuses it as the loop would.
         """
         sent = 0
@@ -501,37 +495,26 @@ class SimNetwork:
                 self.send_payment(payment_ids[sent], sender, channel_path, amount_msat, hold=True)
             except PaymentError as exc:
                 return sent, exc
-            hops = self._payments[payment_ids[sent]].hops
+            run = self._payments[payment_ids[sent]]
             sent += 1
-            run = HeldRun([], [])
-            for payment_id in payment_ids[sent : sent + self._copies_that_fit(hops)]:
+            for payment_id in payment_ids[sent : sent + self._copies_that_fit(run.hops)]:
                 if payment_id in self._payments:
                     break  # the next batch's send_payment rejects the reused id
                 self._payments[payment_id] = run
                 run.payment_ids.append(payment_id)
-            if run.payment_ids:
-                self._hold_run(run, sender, hops, amount_msat)
-                sent += len(run.payment_ids)
+            # HTLC ids are numbered as if each copy in turn took one per hop.
+            copies, stride = len(run.payment_ids) - 1, len(run.hops)
+            for hop in run.hops:
+                hop.channel.balances[hop.from_node] -= hop.amount_msat * copies
+            self._next_htlc_id += copies * stride
+            sent += copies
+            if self.events is not None:
+                for payment_id in run.payment_ids[1:]:
+                    self._log("send", payment=payment_id, sender=sender, hops=stride,
+                              amount_msat=amount_msat, hold=True)
         return sent, None
 
-    def _hold_run(self, run: HeldRun, sender: str, hops: list[Htlc], amount_msat: int) -> None:
-        """Commit the payments ``run`` already records as copies of ``hops``
-        but for their ids: one ``HtlcRun`` per hop, HTLC ids numbered as if
-        each payment in turn took one per hop."""
-        count, stride = len(run.payment_ids), len(hops)
-        for j, h in enumerate(hops):
-            hop = HtlcRun(h.channel, h.from_node, h.to_node, h.amount_msat, h.expiry_height,
-                          self._next_htlc_id + j, stride, run.payment_ids)
-            hop.channel.balances[hop.from_node] -= hop.amount_msat * count
-            hop.channel.runs.append(hop)
-            run.hops.append(hop)
-        self._next_htlc_id += count * stride
-        if self.events is not None:
-            for payment_id in run.payment_ids:
-                self._log("send", payment=payment_id, sender=sender, hops=stride,
-                          amount_msat=amount_msat, hold=True)
-
-    def _copies_that_fit(self, hops: list[Htlc]) -> int:
+    def _copies_that_fit(self, hops: list[HtlcRun]) -> int:
         """How many more payments with these hops pass the slot and balance
         checks; none when each payment's hash must be checked."""
         if self.reject_duplicate_hash:
@@ -548,22 +531,23 @@ class SimNetwork:
             for h in hops
         )
 
-    def _settle(self, state: PaymentState) -> None:
-        for hop in reversed(state.hops):
-            del hop.channel.pending[hop.htlc_id]
+    def _settle(self, run: PaymentRun) -> None:
+        """Settle a run of one recipient→sender."""
+        for hop in reversed(run.hops):
+            del hop.channel.runs[hop.first_id]
             hop.channel.balances[hop.to_node] += hop.amount_msat
-        state.status = PaymentStatus.FULFILLED
-        self._log("fulfill", payment=state.payment_id)
+        run.status = PaymentStatus.FULFILLED
+        self._log("fulfill", payment=run.payment_ids[0])
 
     def fulfill_payment(self, payment_id: str) -> None:
         """Recipient reveals the preimage: HTLCs settle recipient→sender."""
-        state = self._pending_payment(payment_id)
-        for hop in state.hops:
+        run = self._pending_payment(payment_id)
+        for hop in run.hops:
             if hop.channel.state is not ChannelState.OPEN:
                 raise SimulatorError(
                     f"cannot fulfill {payment_id}: {hop.channel.channel_id} force-closed"
                 )
-        self._settle(state)
+        self._settle(run)
 
     def fail_payment(self, payment_id: str) -> None:
         """Cancel a pending payment, restoring escrowed balances exactly.
@@ -571,42 +555,41 @@ class SimNetwork:
         HTLCs stranded on force-closed channels stay there (they settle
         on-chain, outside this model); all others are released.
         """
-        state = self._pending_payment(payment_id)
-        for hop in reversed(state.hops):
-            if hop.channel.state is ChannelState.OPEN and hop.htlc_id in hop.channel.pending:
-                del hop.channel.pending[hop.htlc_id]
+        run = self._pending_payment(payment_id)
+        for hop in reversed(run.hops):
+            if hop.channel.state is ChannelState.OPEN:
+                del hop.channel.runs[hop.first_id]
                 hop.channel.balances[hop.from_node] += hop.amount_msat
-        state.status = PaymentStatus.FAILED
+        run.status = PaymentStatus.FAILED
         self._log("fail", payment=payment_id)
 
-    def _pending_payment(self, payment_id: str) -> PaymentState:
-        state = self._payments.get(payment_id)
-        if state is None:
+    def _pending_payment(self, payment_id: str) -> PaymentRun:
+        """A pending payment's run, the payment cut out into a run of one."""
+        run = self._payments.get(payment_id)
+        if run is None:
             raise SimulatorError(f"unknown payment {payment_id}")
-        if isinstance(state, HeldRun):
-            return self._split_run(state, payment_id)
-        if state.status is not PaymentStatus.PENDING:
-            raise SimulatorError(f"payment {payment_id} already {state.status.value}")
-        return state
-
-    def _split_run(self, run: HeldRun, payment_id: str) -> PaymentState:
-        """Give one member of a run HTLCs of its own; the members before and
-        after it stay runs."""
-        k = run.payment_ids.index(payment_id)
-        state = run.member(payment_id)
-        parts = HeldRun(run.payment_ids[:k], []), HeldRun(run.payment_ids[k + 1 :], [])
-        for hop, htlc in zip(run.hops, state.hops):
-            hop.channel.runs.remove(hop)
-            hop.channel.pending[htlc.htlc_id] = htlc
-            for part, first_id in zip(parts, (hop.first_id, htlc.htlc_id + hop.stride)):
-                if part.payment_ids:
-                    piece = replace(hop, first_id=first_id, payment_ids=part.payment_ids)
-                    hop.channel.runs.append(piece)
-                    part.hops.append(piece)
-        for part in parts:
-            self._payments.update(dict.fromkeys(part.payment_ids, part))
-        self._payments[payment_id] = state
-        return state
+        if run.status is not PaymentStatus.PENDING:
+            raise SimulatorError(f"payment {payment_id} already {run.status.value}")
+        # Cut the run into the members before the payment, the payment
+        # alone, and the members after it. Each piece keeps its HTLC ids, and
+        # the one that starts the run takes over the run's key.
+        ids = run.payment_ids
+        k = ids.index(payment_id)
+        pieces = [
+            (start, PaymentRun(ids[start:stop], [], run.hold))
+            for start, stop in ((0, k), (k, k + 1), (k + 1, len(ids)))
+            if start < stop
+        ]
+        for hop in run.hops:
+            for start, piece in pieces:
+                part = replace(
+                    hop, payment_ids=piece.payment_ids, first_id=hop.first_id + start * hop.stride
+                )
+                hop.channel.runs[part.first_id] = part
+                piece.hops.append(part)
+        for _, piece in pieces:
+            self._payments.update(dict.fromkeys(piece.payment_ids, piece))
+        return self._payments[payment_id]
 
     # -- time --------------------------------------------------------------
 
@@ -916,15 +899,17 @@ def _parse_int(token: str, name: str, line_no: int) -> int:
 
 
 def _expand_route(token: str, line_no: int) -> list[str]:
-    """Route syntax: comma-separated channel ids, each optionally `id*N`."""
+    """Route syntax: comma-separated channel ids, each optionally `id*N`
+    with N from 1 to MAX_ROUTE_HOPS."""
     path: list[str] = []
     for part in token.split(","):
         if "*" in part:
             cid, _, count = part.partition("*")
-            try:
-                path.extend([cid] * int(count))
-            except ValueError:
-                raise ScenarioParseError(line_no, f"bad repeat count in {part!r}")
+            name = f"repeat count in {part!r}"
+            repeat = _parse_int(count, name, line_no)
+            if not 1 <= repeat <= MAX_ROUTE_HOPS:
+                raise ScenarioParseError(line_no, f"{name} is outside [1, {MAX_ROUTE_HOPS}]")
+            path.extend([cid] * repeat)
         elif part:
             path.append(part)
     if not path:
@@ -954,10 +939,9 @@ class _ScenarioRunner:
         if verb == "repeat":
             if len(tokens) < 3:
                 raise ScenarioParseError(line_no, "repeat needs a count and a command")
-            try:
-                count = int(tokens[1])
-            except ValueError:
-                raise ScenarioParseError(line_no, f"bad repeat count {tokens[1]!r}")
+            count = _parse_int(tokens[1], "repeat count", line_no)
+            if count < 1:
+                raise ScenarioParseError(line_no, f"repeat count must be at least 1, got {count}")
             template = " ".join(tokens[2:])
             for i in range(1, count + 1):
                 self._execute(template.replace("{i}", str(i)), line_no)
@@ -978,8 +962,10 @@ class _ScenarioRunner:
         cid, node_a, node_b = args[0], args[1], args[2]
         capacity = _parse_int(args[3], "capacity_sat", line_no)
         opts = _parse_kv(args[4:], line_no)
+        read = {"funder"}
 
         def option(key: str, default: int) -> int:
+            read.add(key)
             return _parse_int(opts[key], key, line_no) if key in opts else default
 
         d = DEFAULT_POLICY
@@ -990,6 +976,9 @@ class _ScenarioRunner:
         fee_rate = option("fee_rate", d.fee_proportional_millionths)
         slot_limit = option("slots", ATTACKER_SLOT_LIMIT)
         dust_limit_sat = option("dust", 546)
+        unknown = sorted(opts.keys() - read)
+        if unknown:
+            raise ScenarioParseError(line_no, f"unknown open option {unknown[0]!r}")
 
         def policy(delta: int) -> ChannelPolicy:
             return ChannelPolicy(
@@ -1131,8 +1120,10 @@ def run_scenario(script: str, reject_duplicate_hash: bool = False) -> ScenarioRe
     withheld payments), ``fulfill``, ``fail``, ``advance``,
     ``assert_pending``, ``assert_fails [Reason]``, ``assert_succeeds``,
     ``assert_closed``, ``assert_open``; ``#`` starts a comment and
-    ``repeat N <cmd>`` expands ``{i}`` for i = 1..N. Route tokens are
-    comma-separated channel ids with an optional ``*N`` repeat suffix.
+    ``repeat N <cmd>`` expands ``{i}`` for i = 1..N, N at least 1. Route
+    tokens are comma-separated channel ids with an optional ``*N`` repeat
+    suffix, N from 1 to MAX_ROUTE_HOPS. Any other count, or an ``open``
+    option the runner does not read, raises ``ScenarioParseError``.
     """
     net = SimNetwork(reject_duplicate_hash=reject_duplicate_hash, events=[])
     return _ScenarioRunner(net).run(script)

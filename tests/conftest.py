@@ -1,9 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from lnjam.inference import tag_nodes
 from lnjam.topology import build_graph
 
 import netgen
+
+# Property tests draw the same examples on every run and keep no database.
+settings.register_profile("lnjam", derandomize=True, database=None, deadline=None)
+settings.load_profile("lnjam")
 
 
 @pytest.fixture

@@ -158,6 +158,16 @@ def test_cost_json(snapshot_file, capsys):
     )
 
 
+def test_cost_rejects_bad_pricing_inputs(snapshot_file, capsys):
+    for flag, value in [("--batch-discount", "nan"), ("--usd-per-open", "-2"),
+                        ("--btc-usd", "inf"), ("--batch-discount", "2")]:
+        assert main(["cost", "--snapshot", str(snapshot_file), flag, value]) == 3, flag
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("infeasible: ") == 4
+    assert "Traceback" not in captured.err
+
+
 def test_simulate_builtin_and_log(tmp_path, capsys):
     log = tmp_path / "events.jsonl"
     assert main(["simulate", "--scenario", "experiment1", "--log", str(log)]) == 0
@@ -184,6 +194,8 @@ def test_simulate_malformed_lines_are_input_errors(tmp_path, capsys):
         "pay p1 abc A c1", "open c1 A B 1000 slots=x",
         "open c1 A B 1000000\npay p1 5000 A c1 final=z", "fail", "advance x",
         "open c1 A B 1000000\nassert_fails SlotFul pay p2 5000 A c1",
+        "open c1 A B 1000000 slot=1", "repeat -3 pay p{i} 5000 A c1",
+        "pay p1 5000 A c1*0,c2", "pay p1 5000 A c1*-2,c2",
     ]
     for text in lines:
         script.write_text(text + "\n")

@@ -194,3 +194,19 @@ def test_locked_liquidity_usd_conversion():
     doc = report.to_json_dict()
     assert doc["assumptions"]["usd_per_open"] == USD_PER_CHANNEL_OPEN
     assert doc["per_route"][0]["route_index"] == 1
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(usd_per_open=-2.0), "usd_per_open must be finite and positive, got -2.0"),
+    (dict(usd_per_open=0.0), "usd_per_open must be finite and positive"),
+    (dict(usd_per_open=math.inf), "usd_per_open must be finite and positive"),
+    (dict(btc_usd_rate=math.nan), "btc_usd_rate must be finite and positive, got nan"),
+    (dict(btc_usd_rate=-1.0), "btc_usd_rate must be finite and positive"),
+    (dict(batch_discount=math.nan), r"batch_discount must be in \(0, 1\], got nan"),
+    (dict(batch_discount=0.0), "batch_discount must be in"),
+    (dict(batch_discount=1.5), "batch_discount must be in"),
+])
+def test_estimate_rejects_bad_pricing_inputs(kwargs, message):
+    plan, _, _ = _priced_plan()
+    with pytest.raises(ValueError, match=message):
+        estimate_costs(plan, **kwargs)

@@ -266,7 +266,7 @@ def _components_with_parallel_channels(sizes, parallel, seed):
 _TWO_BLOCKS = math.isqrt(BETWEENNESS_BLOCK_CELLS) + 1
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@settings(max_examples=25)
 @given(
     sizes=st.lists(st.integers(2, 60), min_size=2, max_size=5).filter(
         lambda s: sum(s) >= _TWO_BLOCKS

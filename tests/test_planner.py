@@ -3,7 +3,7 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from lnjam.planner import (
     AttackPlan,
@@ -294,7 +294,6 @@ def test_plan_json_round_trip(lnd_mesh):
     assert again.uncovered_channel_ids == plan.uncovered_channel_ids
 
 
-@settings(derandomize=True, database=None, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
     n_nodes=st.integers(2, 40),

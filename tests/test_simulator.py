@@ -1,7 +1,7 @@
 """HTLC simulator: validation order, settlement, force-closes, scenarios."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from lnjam.simulator import (
     ChannelState,
@@ -212,8 +212,8 @@ def test_duplicate_hash_mitigation_toggle():
 def test_hold_takes_the_whole_locktime_budget():
     net = _line_net(2)
     net.send_payment("p", "a0", ["c0", "c1"], 5000, hold=True)
-    first = next(iter(net.channels["c0"].pending.values()))
-    second = next(iter(net.channels["c1"].pending.values()))
+    (first,) = net.channels["c0"].htlcs()
+    (second,) = net.channels["c1"].htlcs()
     assert first.expiry_height == 2016
     assert second.expiry_height == 2016 - 40
     assert net.payments["p"].status is PaymentStatus.PENDING
@@ -224,8 +224,7 @@ def test_expiries_decrease_strictly_along_the_route():
     net = _line_net(5, policy=_policy(delta=14))
     net.send_payment("p", "a0", ["c0", "c1", "c2", "c3", "c4"], 5000, hold=True)
     expiries = [
-        next(iter(net.channels[f"c{i}"].pending.values())).expiry_height
-        for i in range(5)
+        h.expiry_height for i in range(5) for h in net.channels[f"c{i}"].htlcs()
     ]
     assert expiries == sorted(expiries, reverse=True)
     assert len(set(expiries)) == 5
@@ -248,10 +247,10 @@ def test_fail_restores_balances_exactly():
     net = _line_net(3, policy=_policy(base=777, rate=13))
     snapshot = {cid: dict(ch.balances) for cid, ch in net.channels.items()}
     net.send_payment("p", "a0", ["c0", "c1", "c2"], 123_457, hold=True)
-    assert any(ch.pending for ch in net.channels.values())
+    assert any(ch.htlcs() for ch in net.channels.values())
     net.fail_payment("p")
     assert {cid: dict(ch.balances) for cid, ch in net.channels.items()} == snapshot
-    assert all(not ch.pending for ch in net.channels.values())
+    assert all(not ch.htlcs() for ch in net.channels.values())
     assert net.payments["p"].status is PaymentStatus.FAILED
 
 
@@ -262,9 +261,9 @@ def test_fail_leaves_frozen_htlcs_on_closed_channels():
     net.send_payment("p", "a0", ["c0", "c1"], 5000, hold=True, final_expiry=2)
     assert net.advance_blocks(8) == ["c1"]
     net.fail_payment("p")
-    assert net.channels["c0"].pending == {}
+    assert net.channels["c0"].htlcs() == []
     assert net.channels["c0"].balances["a0"] == 1_000_000_000
-    assert len(net.channels["c1"].pending) == 1
+    assert len(net.channels["c1"].htlcs()) == 1
     _assert_conserved(net)
 
 
@@ -294,7 +293,7 @@ def test_fulfill_pays_the_recipient():
     assert _total_msat(net, "a2") == 0
     net.fulfill_payment("p")
     assert _total_msat(net, "a2") == 5000
-    assert all(not ch.pending for ch in net.channels.values())
+    assert all(not ch.htlcs() for ch in net.channels.values())
     _assert_conserved(net)
 
 
@@ -380,7 +379,6 @@ def _value(htlc):
             htlc.amount_msat, htlc.expiry_height, htlc.htlc_id)
 
 
-@settings(derandomize=True, database=None, deadline=None)
 @given(actions=st.lists(_action, min_size=10, max_size=40))
 def test_random_activity_keeps_the_simulator_invariants(actions):
     net = _mesh_network()
@@ -416,25 +414,50 @@ def test_random_activity_keeps_the_simulator_invariants(actions):
             except SimulatorError:
                 continue
             if verb == "fail":
-                stranded |= {
-                    _value(h) for h in state.hops if h.channel.state is ChannelState.FORCE_CLOSED
-                }
+                stranded |= _stranded(state)
+        _assert_invariants(net, stranded)
 
-        held = [_value(h) for ch in net.channels.values() for h in ch.htlcs()]
-        for ch in net.channels.values():
-            assert ch.conserves_capacity(), ch.channel_id
-            assert ch.slots_used() == len(ch.htlcs()) <= ch.slot_limit, ch.channel_id
-            assert all(h.channel is ch for h in ch.htlcs())
-            assert all(h.htlc_id == k for k, h in ch.pending.items())
-        # Every pending HTLC is one of its pending payment's hops, or stranded.
-        live = {
-            _value(h)
-            for p in net.payments.values()
-            if p.status is PaymentStatus.PENDING
-            for h in p.hops
-        }
-        assert len(set(held)) == len(held)
-        assert set(held) == live | stranded
+    # Failing every payment still pending leaves only the stranded HTLCs, and
+    # each channel's balances are its opening ones moved by the payments that
+    # settled, less what the stranded HTLCs escrow.
+    for payment_id in [k for k, p in net.payments.items() if p.status is PaymentStatus.PENDING]:
+        state = net.payments[payment_id]
+        net.fail_payment(payment_id)
+        stranded |= _stranded(state)
+    _assert_invariants(net, stranded)
+    expected = {cid: dict(ch.balances) for cid, ch in _mesh_network().channels.items()}
+    for p in net.payments.values():
+        for h in p.hops if p.status is PaymentStatus.FULFILLED else ():
+            expected[h.channel.channel_id][h.from_node] -= h.amount_msat
+            expected[h.channel.channel_id][h.to_node] += h.amount_msat
+    for cid, from_node, _, _, amount, _, _ in stranded:
+        expected[cid][from_node] -= amount
+    assert {cid: ch.balances for cid, ch in net.channels.items()} == expected
+    for ch in net.channels.values():
+        assert ch.state is ChannelState.FORCE_CLOSED or ch.runs == {}, ch.channel_id
+
+
+def _stranded(state):
+    """A failed payment's HTLCs left on force-closed channels, which keep them."""
+    return {_value(h) for h in state.hops if h.channel.state is ChannelState.FORCE_CLOSED}
+
+
+def _assert_invariants(net, stranded):
+    held = [_value(h) for ch in net.channels.values() for h in ch.htlcs()]
+    for ch in net.channels.values():
+        assert ch.conserves_capacity(), ch.channel_id
+        assert ch.slots_used() == len(ch.htlcs()) <= ch.slot_limit, ch.channel_id
+        assert all(h.channel is ch for h in ch.htlcs())
+        assert all(run.first_id == k for k, run in ch.runs.items())
+    # Every pending HTLC is one of its pending payment's hops, or stranded.
+    live = {
+        _value(h)
+        for p in net.payments.values()
+        if p.status is PaymentStatus.PENDING
+        for h in p.hops
+    }
+    assert len(set(held)) == len(held)
+    assert set(held) == live | stranded
 
 
 # -- batched held payments ----------------------------------------------------
@@ -623,7 +646,6 @@ def _batch_mesh(case):
     return net
 
 
-@settings(derandomize=True, database=None, deadline=None)
 @given(case=_batch_case)
 def test_hold_payments_matches_the_loop_on_random_networks(case):
     sender, picks = case["route"]
@@ -635,16 +657,16 @@ def test_hold_payments_matches_the_loop_on_random_networks(case):
 
 
 def test_held_copies_take_one_record_per_hop():
-    # The first payment's HTLCs plus one run per hop, however many copies.
+    # One run per hop, however many copies.
     records = []
     for count in (4, 400):
         net = _line_net(3)
         assert net.hold_payments([f"p{n}" for n in range(count)], "a0", ["c0", "c1", "c2"],
                                  5000) == (count, None)
         assert [ch.slots_used() for ch in net.channels.values()] == [count] * 3
-        records.append([len(ch.pending) + len(ch.runs) for ch in net.channels.values()])
+        records.append([len(ch.runs) for ch in net.channels.values()])
         assert net.events is None  # a network given no sink keeps no log
-    assert records[0] == records[1] == [2, 2, 2]
+    assert records[0] == records[1] == [1, 1, 1]
 
 
 # -- from_graph ---------------------------------------------------------------
@@ -797,6 +819,15 @@ def test_scenario_parse_errors_carry_line_numbers():
         ("assert_fails pay p1 abc A c1", "amount_msat must be an integer"),
         # The expected reason is one of the FailureReason values.
         ("assert_fails SlotFul pay p2 5000 A c1", "unknown failure reason 'SlotFul'"),
+        # An option the runner does not read, or a count out of range.
+        ("open c2 A B 1000000 slot=1", "unknown open option 'slot'"),
+        ("repeat -3 pay p{i} 5000 A c1", "repeat count must be at least 1, got -3"),
+        ("repeat 0 pay p{i} 5000 A c1", "repeat count must be at least 1, got 0"),
+        ("pay p1 5000 A c1*0,c1", r"repeat count in 'c1\*0' is outside \[1, 20\]"),
+        ("pay p1 5000 A c1*-2,c1", r"repeat count in 'c1\*-2' is outside"),
+        ("pay p1 5000 A c1*21", r"repeat count in 'c1\*21' is outside"),
+        ("pay p1 5000 A c1*x", r"repeat count in 'c1\*x' must be an integer, got 'x'"),
+        ("pay p1 5000 A c1*1000000000000000000", "is outside"),
     ]:
         with pytest.raises(ScenarioParseError, match=message) as exc:
             run_scenario(f"open c1 A B 1000000\n{line}")
