@@ -36,6 +36,7 @@ from .planner import (
     MAX_ROUTE_CHANNELS,
     TAU_MIN_DEFAULT,
     AttackPlan,
+    InfeasibleConfigError,
     PlannerConfig,
     WeightMode,
     lock_period_sweep,
@@ -297,6 +298,8 @@ def cmd_attack_node(args: argparse.Namespace) -> int:
 
 
 def cmd_isolation_curves(args: argparse.Namespace) -> int:
+    if args.max_degree < 1:
+        raise InfeasibleConfigError(f"max_degree must be at least 1, got {args.max_degree}")
     degrees = range(1, args.max_degree + 1)
     rows = []
     for name, label in _IMPLS.items():

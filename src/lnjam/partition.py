@@ -370,6 +370,10 @@ def plan_disconnection(
     """
     if not isinstance(method, DisconnectionMethod):
         raise ValueError(f"unknown disconnection method {method!r}")
+    if budget_channels is not None and budget_channels < 0:
+        raise planner.InfeasibleConfigError(
+            f"budget of {budget_channels} attacker channels is negative"
+        )
     graph = apply_slot_limits(graph, labels, defaults)
     universe = graph.nodes
     baseline = connected_pairs_fraction(graph)

@@ -18,7 +18,6 @@ that every targeted channel really ends up at its slot limit.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
@@ -95,7 +94,8 @@ class SimChannel:
     """One channel: balances per side, shared-slot pending HTLC set.
 
     The pending HTLCs are the members of the runs in ``runs``, keyed by each
-    run's first HTLC id; ``htlcs()`` lists them one by one.
+    run's first HTLC id; ``htlcs()`` lists them one by one. ``slots_taken``
+    counts them, kept as HTLCs are added and removed rather than recounted.
     """
 
     channel_id: str
@@ -109,6 +109,7 @@ class SimChannel:
     dust_limit_sat: int
     state: ChannelState = ChannelState.OPEN
     runs: dict[int, HtlcRun] = field(default_factory=dict)
+    slots_taken: int = field(default=0, init=False)
 
     def other_endpoint(self, node: str) -> str:
         if node == self.node_a:
@@ -125,8 +126,9 @@ class SimChannel:
         raise SimulatorError(f"{node} is not an endpoint of {self.channel_id}")
 
     def slots_used(self) -> int:
-        """How many HTLC slots the pending HTLCs take."""
-        return sum(len(run.payment_ids) for run in self.runs.values())
+        """How many HTLC slots the pending HTLCs take, a count kept as they
+        are added and removed."""
+        return self.slots_taken
 
     def min_expiry(self) -> int | None:
         """The lowest expiry height of a pending HTLC; None if there is none."""
@@ -420,24 +422,24 @@ class SimNetwork:
                 expiry -= policies[i].cltv_expiry_delta
             hop.expiry_height = expiry
 
-        adds: Counter[str] = Counter()
+        adds: dict[str, int] = {}
         for hop in hops:
-            adds[hop.channel.channel_id] += 1
-            if hop.channel.slots_used() + adds[hop.channel.channel_id] > hop.channel.slot_limit:
+            channel = hop.channel
+            added = adds[channel.channel_id] = adds.get(channel.channel_id, 0) + 1
+            if channel.slots_taken + added > channel.slot_limit:
                 raise PaymentError(
                     FailureReason.SLOT_FULL,
-                    f"channel {hop.channel.channel_id} at its"
-                    f" {hop.channel.slot_limit}-HTLC limit",
+                    f"channel {channel.channel_id} at its {channel.slot_limit}-HTLC limit",
                 )
 
-        escrow: Counter[tuple[str, str]] = Counter()
+        escrow: dict[tuple[str, str], int] = {}
         for hop in hops:
             key = (hop.channel.channel_id, hop.from_node)
-            escrow[key] += hop.amount_msat
-            if escrow[key] > hop.channel.balances[hop.from_node]:
+            owed = escrow[key] = escrow.get(key, 0) + hop.amount_msat
+            if owed > hop.channel.balances[hop.from_node]:
                 raise PaymentError(
                     FailureReason.INSUFFICIENT_BALANCE,
-                    f"{hop.from_node} lacks {escrow[key]} msat on {hop.channel.channel_id}",
+                    f"{hop.from_node} lacks {owed} msat on {hop.channel.channel_id}",
                 )
 
         if self.reject_duplicate_hash:
@@ -454,6 +456,7 @@ class SimNetwork:
             self._next_htlc_id += 1
             hop.channel.balances[hop.from_node] -= hop.amount_msat
             hop.channel.runs[hop.first_id] = hop
+            hop.channel.slots_taken += 1
         run = PaymentRun(hops[0].payment_ids, hops, hold)
         self._payments[payment_id] = run
         self._log(
@@ -506,6 +509,7 @@ class SimNetwork:
             copies, stride = len(run.payment_ids) - 1, len(run.hops)
             for hop in run.hops:
                 hop.channel.balances[hop.from_node] -= hop.amount_msat * copies
+                hop.channel.slots_taken += copies
             self._next_htlc_id += copies * stride
             sent += copies
             if self.events is not None:
@@ -519,13 +523,15 @@ class SimNetwork:
         checks; none when each payment's hash must be checked."""
         if self.reject_duplicate_hash:
             return 0
-        slots = Counter(h.channel.channel_id for h in hops)
-        escrow: Counter[tuple[str, str]] = Counter()
+        slots: dict[str, int] = {}
+        escrow: dict[tuple[str, str], int] = {}
         for h in hops:
-            escrow[h.channel.channel_id, h.from_node] += h.amount_msat
+            cid = h.channel.channel_id
+            slots[cid] = slots.get(cid, 0) + 1
+            escrow[cid, h.from_node] = escrow.get((cid, h.from_node), 0) + h.amount_msat
         return min(
             min(
-                (h.channel.slot_limit - h.channel.slots_used()) // slots[h.channel.channel_id],
+                (h.channel.slot_limit - h.channel.slots_taken) // slots[h.channel.channel_id],
                 h.channel.balances[h.from_node] // escrow[h.channel.channel_id, h.from_node],
             )
             for h in hops
@@ -535,6 +541,7 @@ class SimNetwork:
         """Settle a run of one recipient→sender."""
         for hop in reversed(run.hops):
             del hop.channel.runs[hop.first_id]
+            hop.channel.slots_taken -= 1
             hop.channel.balances[hop.to_node] += hop.amount_msat
         run.status = PaymentStatus.FULFILLED
         self._log("fulfill", payment=run.payment_ids[0])
@@ -559,6 +566,7 @@ class SimNetwork:
         for hop in reversed(run.hops):
             if hop.channel.state is ChannelState.OPEN:
                 del hop.channel.runs[hop.first_id]
+                hop.channel.slots_taken -= 1
                 hop.channel.balances[hop.from_node] += hop.amount_msat
         run.status = PaymentStatus.FAILED
         self._log("fail", payment=payment_id)
@@ -571,24 +579,32 @@ class SimNetwork:
         if run.status is not PaymentStatus.PENDING:
             raise SimulatorError(f"payment {payment_id} already {run.status.value}")
         # Cut the run into the members before the payment, the payment
-        # alone, and the members after it. Each piece keeps its HTLC ids, and
-        # the one that starts the run takes over the run's key.
+        # alone, and the members after it. Each piece keeps its HTLC ids. The
+        # largest piece keeps the record, cut in place; the others become
+        # records of their own, so only their ids are re-pointed.
         ids = run.payment_ids
         k = ids.index(payment_id)
-        pieces = [
-            (start, PaymentRun(ids[start:stop], [], run.hold))
-            for start, stop in ((0, k), (k, k + 1), (k + 1, len(ids)))
-            if start < stop
-        ]
-        for hop in run.hops:
-            for start, piece in pieces:
+        pieces = [(start, stop) for start, stop in ((0, k), (k, k + 1), (k + 1, len(ids)))
+                  if start < stop]
+        kept = max(pieces, key=lambda piece: piece[1] - piece[0])
+        pieces.remove(kept)
+        for start, stop in pieces:
+            piece = PaymentRun(ids[start:stop], [], run.hold)
+            for hop in run.hops:
                 part = replace(
                     hop, payment_ids=piece.payment_ids, first_id=hop.first_id + start * hop.stride
                 )
                 hop.channel.runs[part.first_id] = part
                 piece.hops.append(part)
-        for _, piece in pieces:
             self._payments.update(dict.fromkeys(piece.payment_ids, piece))
+        # A kept piece past the run's start moves to its own first id; the
+        # piece that starts the run has taken over the run's key.
+        start, stop = kept
+        del ids[stop:], ids[:start]
+        if start:
+            for hop in run.hops:
+                hop.first_id += start * hop.stride
+                hop.channel.runs[hop.first_id] = hop
         return self._payments[payment_id]
 
     # -- time --------------------------------------------------------------

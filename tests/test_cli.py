@@ -322,6 +322,25 @@ def test_isolation_curves_reject_out_of_range_lock_periods(capsys):
     assert "Traceback" not in err
 
 
+def test_isolation_curves_reject_degrees_below_one(capsys):
+    for max_degree in ("0", "-3"):
+        assert main(["isolation-curves", "--max-degree", max_degree]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("infeasible: max_degree must be at least 1") == 2
+    assert "Traceback" not in captured.err
+
+
+def test_attack_connectivity_rejects_negative_budget(snapshot_file, capsys):
+    args = ["attack-connectivity", "--snapshot", str(snapshot_file), "--budget"]
+    assert main([*args, "-4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "infeasible: budget of -4 attacker channels is negative" in captured.err
+    assert "Traceback" not in captured.err
+    assert main([*args, "0"]) == 0
+
+
 def test_attack_node_output_verifies(snapshot_file, tmp_path, capsys):
     # The README workflow: attack-node --output, then verify-plan --plan.
     plan_path = tmp_path / "plan.json"

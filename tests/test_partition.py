@@ -20,7 +20,7 @@ from lnjam.partition import (
     kernighan_lin_cut,
     plan_disconnection,
 )
-from lnjam.planner import PlannerConfig, WeightMode
+from lnjam.planner import InfeasibleConfigError, PlannerConfig, WeightMode
 from lnjam.topology import MAINNET_DEFAULTS, NetworkGraph, build_graph, parse_snapshot
 
 import netgen
@@ -475,6 +475,13 @@ def test_tiny_budget_returns_baseline_only(lnd_mesh):
     assert report.curve == [(0, pytest.approx(1.0))]
     assert plan.routes == []
     assert set(plan.uncovered_channel_ids) == set(graph.channel_ids)
+
+
+def test_negative_budget_is_infeasible(lnd_mesh):
+    _, graph, labels = lnd_mesh
+    for method in DisconnectionMethod:
+        with pytest.raises(InfeasibleConfigError, match="budget of -4 attacker channels"):
+            plan_disconnection(graph, labels, MAINNET_DEFAULTS, PlannerConfig(), method, -4)
 
 
 def test_greedy_betweenness_weight_agrees_with_planner(barbell):

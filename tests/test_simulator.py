@@ -669,6 +669,49 @@ def test_held_copies_take_one_record_per_hop():
     assert records[0] == records[1] == [1, 1, 1]
 
 
+def test_cutting_members_leaves_the_largest_piece_in_the_run():
+    # Failing the first, then the last, of a 3-hop run of 5 leaves the three
+    # between them in the run's own record, and the state the loop leaves.
+    ids, path = [f"p{n}" for n in range(5)], ["c0", "c1", "c2"]
+    batch, loop = _line_net(3, events=[]), _line_net(3, events=[])
+    assert batch.hold_payments(ids, "a0", path, 5000) == (5, None)
+    assert _hold_one_by_one(loop, ids, "a0", path, 5000) == (5, None)
+    record = batch._payments["p2"]
+    for net in (batch, loop):
+        net.fail_payment("p0")
+        net.fail_payment("p4")
+    assert all(batch._payments[p] is record for p in ids[1:4])
+    assert record.payment_ids == ids[1:4]
+    assert _snapshot(batch) == _snapshot(loop)
+    _assert_invariants(batch, set())
+
+
+def test_slot_counts_follow_every_change():
+    net = _line_net(3)
+    path = ["c0", "c1", "c2"]
+
+    def assert_slots(expected):
+        assert [ch.slots_used() for ch in net.channels.values()] == expected
+        assert all(ch.slots_used() == len(ch.htlcs()) for ch in net.channels.values())
+
+    net.send_payment("plain", "a0", path, 5000)
+    assert_slots([0, 0, 0])
+    net.send_payment("solo", "a0", path, 5000, hold=True)
+    assert_slots([1, 1, 1])
+    assert net.hold_payments(["b0", "b1", "b2", "b3"], "a0", path, 5000) == (4, None)
+    assert_slots([5, 5, 5])
+    net.fulfill_payment("b1")
+    assert_slots([4, 4, 4])
+    net.fail_payment("b0")
+    assert_slots([3, 3, 3])
+    # Only c2's HTLCs, 80 blocks below the held ones' locktime, have expired.
+    assert net.advance_blocks(net.locktime_max - 80 + 1) == ["c2"]
+    net.fail_payment("solo")
+    assert_slots([2, 2, 3])
+    net.fail_payment("b3")
+    assert_slots([1, 1, 3])
+
+
 # -- from_graph ---------------------------------------------------------------
 
 
