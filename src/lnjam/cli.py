@@ -122,10 +122,11 @@ def _json_text(args: argparse.Namespace, body: dict, **meta) -> str:
 
 
 def _planner_config(args: argparse.Namespace) -> PlannerConfig:
+    # attack-connectivity takes no --weight: its method picks the weights.
     return PlannerConfig(
         tau_min=args.tau_min,
         max_route_channels=args.max_route_channels,
-        weight_mode=WeightMode(args.weight),
+        weight_mode=WeightMode(getattr(args, "weight", WeightMode.CAPACITY.value)),
     )
 
 
@@ -447,6 +448,9 @@ def _add_planner_flags(sub: argparse.ArgumentParser) -> None:
     _add_tau_min_flag(sub)
     sub.add_argument("--max-route-channels", type=int, default=MAX_ROUTE_CHANNELS,
                      help="victim channels per route (default %(default)s)")
+
+
+def _add_weight_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--weight", choices=[m.value for m in WeightMode], default="capacity",
                      help="channel weight driving greedy selection")
 
@@ -482,6 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("attack-network", help="plan a capacity-lockup attack")
     p.add_argument("--snapshot", required=True)
     _add_planner_flags(p)
+    _add_weight_flag(p)
     sweep_or_plan = p.add_mutually_exclusive_group()
     sweep_or_plan.add_argument("--sweep-days", type=_comma_list(float), default=None,
                                help="comma-separated lock periods in days; one plan per value")
@@ -518,6 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("cost", help="price a capacity-lockup attack")
     p.add_argument("--snapshot", required=True)
     _add_planner_flags(p)
+    _add_weight_flag(p)
     p.add_argument("--usd-per-open", type=float, default=USD_PER_CHANNEL_OPEN)
     p.add_argument("--batch-discount", type=float, default=1.0)
     p.add_argument("--btc-usd", type=float, default=BTC_USD_RATE)

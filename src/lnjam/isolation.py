@@ -171,18 +171,16 @@ def max_traversals_for_deltas(delta_victim: int, delta_neighbor: int, tau_min: i
 
     Bounded by the 20-hop onion limit (18 traversals after entry and exit)
     and by the locktime budget: traversals alternate direction starting on
-    the victim side, each charging that side's forwarding delta.
+    the victim side, each charging that side's forwarding delta. Deltas are
+    non-negative, so the charge only grows with the count, and the search
+    runs from the top, where most channels stop.
     """
     budget = LOCKTIME_MAX - tau_min
-    k = 0
-    total = 0
-    while k < MAX_TRAVERSALS:
-        charge = delta_victim if k % 2 == 0 else delta_neighbor
-        if total + charge > budget:
-            break
-        total += charge
-        k += 1
-    return k
+    return next(
+        (t for t in range(MAX_TRAVERSALS, 0, -1)
+         if _alternating_timeout(delta_victim, delta_neighbor, t) <= budget),
+        0,
+    )
 
 
 def max_traversals(target: GraphChannel, victim: str, tau_min: int) -> int:
@@ -206,20 +204,15 @@ def _payment_split(slots: int, k: int) -> tuple[list[int], int]:
 def _plan_channel(
     target: GraphChannel, victim: str, slots: int, tau_min: int
 ) -> ChannelIsolation:
+    """The channel's payments; none, and no attacker slots, when not even one
+    traversal fits the locktime budget."""
     neighbor = target.other_endpoint(victim)
     k = max_traversals(target, victim, tau_min)
     if k == 0:
         logger.warning(
             "channel %s cannot be paralyzed at tau_min=%d", target.channel_id, tau_min
         )
-        return ChannelIsolation(
-            channel_id=target.channel_id,
-            neighbor=neighbor,
-            slot_limit=slots,
-            max_traversals=0,
-            payments=(),
-            attacker_slots=0,
-        )
+    counts, attacker_slots = _payment_split(slots, k) if k else ([], 0)
     d_v = target.delta_from(victim)
     d_n = target.delta_from(neighbor)
 
@@ -231,7 +224,6 @@ def _plan_channel(
             lock_duration=LOCKTIME_MAX - timeout,
         )
 
-    counts, attacker_slots = _payment_split(slots, k)
     payments = tuple(route(t) for t in counts)
     return ChannelIsolation(
         channel_id=target.channel_id,

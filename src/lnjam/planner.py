@@ -471,18 +471,18 @@ def lock_period_sweep(
 
     Each ``d`` maps to ``tau_min = ceil(144 * d)``. Days of 14 or more leave
     no locktime budget at all (144 * 14 = 2016) and raise
-    :class:`InfeasibleConfigError`.
+    :class:`InfeasibleConfigError`, before any point is planned.
     """
     max_days = LOCKTIME_MAX // BLOCKS_PER_DAY
-    # Limited once here, the graph passes through each point's plan as it is.
-    graph = apply_slot_limits(graph, labels, defaults)
-    plans = []
+    configs = []
     for d in days:
         if not 0 < d < max_days:
             raise InfeasibleConfigError(f"lock period of {d} days is outside (0, {max_days})")
-        cfg = replace(config, tau_min=math.ceil(BLOCKS_PER_DAY * d))
-        plans.append((d, plan_network_attack(graph, labels, defaults, cfg, budget_channels)))
-    return plans
+        configs.append(replace(config, tau_min=math.ceil(BLOCKS_PER_DAY * d)))
+    # Limited once here, the graph passes through each point's plan as it is.
+    graph = apply_slot_limits(graph, labels, defaults)
+    return [(d, plan_network_attack(graph, labels, defaults, cfg, budget_channels))
+            for d, cfg in zip(days, configs)]
 
 
 def route_length_sweep(
@@ -496,16 +496,16 @@ def route_length_sweep(
     """Re-plan under different total route-length limits (in hops).
 
     A limit of ``h`` hops leaves ``h - 2`` victim channels per route after
-    the attacker's entry and exit. Limits outside [3, 20] are rejected.
+    the attacker's entry and exit. Limits outside [3, 20] are rejected before
+    any point is planned.
     """
-    # Limited once here, the graph passes through each point's plan as it is.
-    graph = apply_slot_limits(graph, labels, defaults)
-    plans = []
     for limit in max_hops:
         if not 3 <= limit <= MAX_ROUTE_HOPS:
             raise InfeasibleConfigError(
                 f"route length limit {limit} outside [3, {MAX_ROUTE_HOPS}]"
             )
-        cfg = replace(config, max_route_channels=limit - 2)
-        plans.append((limit, plan_network_attack(graph, labels, defaults, cfg, budget_channels)))
-    return plans
+    configs = [replace(config, max_route_channels=limit - 2) for limit in max_hops]
+    # Limited once here, the graph passes through each point's plan as it is.
+    graph = apply_slot_limits(graph, labels, defaults)
+    return [(limit, plan_network_attack(graph, labels, defaults, cfg, budget_channels))
+            for limit, cfg in zip(max_hops, configs)]

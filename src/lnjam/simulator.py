@@ -7,8 +7,8 @@ stay pending until fulfilled, failed, or their expiry forces the holding
 channel shut. Non-held payments settle immediately. Pending HTLCs are
 stored as runs: payments alike but for their ids share one record per hop.
 A payment sent alone is a run of one, and a batch of held payments extends
-its first payment's run. Fulfilling or failing a member cuts it out of its
-run first.
+its first payment's run. A run keeps its shape: a fulfilled or failed
+member only leaves it.
 
 A line-oriented scenario format drives the simulator for regression scripts;
 ``execute_plan`` bridges planner output into a simulated network and checks
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import partialmethod
 from importlib import resources
@@ -137,11 +137,11 @@ class SimChannel:
     def htlcs(self) -> list[Htlc]:
         """Every pending HTLC in HTLC-id order, as if each payment had been
         sent alone."""
-        copies = (run.htlc(k) for run in self.runs.values() for k in range(len(run.payment_ids)))
+        copies = (run.htlc(k) for run in self.runs.values() for k in run.members())
         return sorted(copies, key=attrgetter("htlc_id"))
 
     def conserves_capacity(self) -> bool:
-        escrow = sum(run.amount_msat * len(run.payment_ids) for run in self.runs.values())
+        escrow = sum(run.amount_msat * len(run.members()) for run in self.runs.values())
         return sum(self.balances.values()) + escrow == self.capacity_sat * MSAT_PER_SAT
 
 
@@ -164,7 +164,8 @@ class HtlcRun:
     ``channel``: member ``k`` is payment ``payment_ids[k]``, whose HTLC here
     has id ``first_id + k * stride`` and hash ``payment_hash``, or
     ``h:<payment id>`` when that is None. Every hop of a run shares one
-    ``payment_ids`` list with the run's ``PaymentRun``."""
+    ``payment_ids`` list with the run's ``PaymentRun``. Bit ``k`` of ``gone``
+    is set once member ``k`` has left this hop."""
 
     channel: SimChannel
     from_node: str
@@ -175,6 +176,11 @@ class HtlcRun:
     amount_msat: int = 0
     expiry_height: int = 0
     first_id: int = -1
+    gone: int = 0
+
+    def members(self) -> list[int]:
+        """The offsets of the members still pending on this hop."""
+        return [k for k in range(len(self.payment_ids)) if not self.gone >> k & 1]
 
     def htlc(self, k: int) -> Htlc:
         """Member ``k``'s HTLC."""
@@ -199,19 +205,33 @@ class PaymentState:
 class PaymentRun:
     """The payments of one run, alike but for their ids: ``hops[j]`` holds
     every member's HTLC on hop ``j``. A payment sent alone is a run of one.
-    The members share this record, and its status, until one of them is
-    fulfilled or failed and is cut out into a run of its own."""
+    Members keep their offsets in ``payment_ids`` for good; bit ``k`` of
+    ``fulfilled`` or ``failed`` is set once member ``k`` is resolved."""
 
     payment_ids: list[str]
     hops: list[HtlcRun]
     hold: bool
-    status: PaymentStatus = PaymentStatus.PENDING
+    fulfilled: int = 0
+    failed: int = 0
+    offsets: dict[str, int] | None = None
+
+    def offset(self, payment_id: str) -> int:
+        """Where the member sits in the run, from a map built on the first lookup."""
+        if self.offsets is None:
+            self.offsets = {pid: k for k, pid in enumerate(self.payment_ids)}
+        return self.offsets[payment_id]
+
+    def status(self, k: int) -> PaymentStatus:
+        """Member ``k``'s status."""
+        if self.fulfilled >> k & 1:
+            return PaymentStatus.FULFILLED
+        return PaymentStatus.FAILED if self.failed >> k & 1 else PaymentStatus.PENDING
 
     def member(self, payment_id: str) -> PaymentState:
         """A member's state, its HTLCs built from the run's."""
-        k = self.payment_ids.index(payment_id)
+        k = self.offset(payment_id)
         hops = tuple(hop.htlc(k) for hop in self.hops)
-        return PaymentState(payment_id, hops, self.hold, self.status)
+        return PaymentState(payment_id, hops, self.hold, self.status(k))
 
 
 class Payments(Mapping[str, PaymentState]):
@@ -468,7 +488,7 @@ class SimNetwork:
             hold=hold,
         )
         if not hold:
-            self._settle(run)
+            self._release(run, 0, PaymentStatus.FULFILLED)
         return payment_id
 
     def hold_payments(
@@ -537,75 +557,54 @@ class SimNetwork:
             for h in hops
         )
 
-    def _settle(self, run: PaymentRun) -> None:
-        """Settle a run of one recipient→sender."""
-        for hop in reversed(run.hops):
-            del hop.channel.runs[hop.first_id]
-            hop.channel.slots_taken -= 1
-            hop.channel.balances[hop.to_node] += hop.amount_msat
-        run.status = PaymentStatus.FULFILLED
-        self._log("fulfill", payment=run.payment_ids[0])
-
     def fulfill_payment(self, payment_id: str) -> None:
         """Recipient reveals the preimage: HTLCs settle recipient→sender."""
-        run = self._pending_payment(payment_id)
+        run, k = self._pending_payment(payment_id)
         for hop in run.hops:
             if hop.channel.state is not ChannelState.OPEN:
                 raise SimulatorError(
                     f"cannot fulfill {payment_id}: {hop.channel.channel_id} force-closed"
                 )
-        self._settle(run)
+        self._release(run, k, PaymentStatus.FULFILLED)
 
     def fail_payment(self, payment_id: str) -> None:
         """Cancel a pending payment, restoring escrowed balances exactly.
 
         HTLCs stranded on force-closed channels stay there (they settle
-        on-chain, outside this model); all others are released.
+        on-chain, outside this model); all others leave their runs.
         """
-        run = self._pending_payment(payment_id)
-        for hop in reversed(run.hops):
-            if hop.channel.state is ChannelState.OPEN:
-                del hop.channel.runs[hop.first_id]
-                hop.channel.slots_taken -= 1
-                hop.channel.balances[hop.from_node] += hop.amount_msat
-        run.status = PaymentStatus.FAILED
-        self._log("fail", payment=payment_id)
+        run, k = self._pending_payment(payment_id)
+        self._release(run, k, PaymentStatus.FAILED)
 
-    def _pending_payment(self, payment_id: str) -> PaymentRun:
-        """A pending payment's run, the payment cut out into a run of one."""
+    def _pending_payment(self, payment_id: str) -> tuple[PaymentRun, int]:
+        """A pending payment's run, and its offset there."""
         run = self._payments.get(payment_id)
         if run is None:
             raise SimulatorError(f"unknown payment {payment_id}")
-        if run.status is not PaymentStatus.PENDING:
-            raise SimulatorError(f"payment {payment_id} already {run.status.value}")
-        # Cut the run into the members before the payment, the payment
-        # alone, and the members after it. Each piece keeps its HTLC ids. The
-        # largest piece keeps the record, cut in place; the others become
-        # records of their own, so only their ids are re-pointed.
-        ids = run.payment_ids
-        k = ids.index(payment_id)
-        pieces = [(start, stop) for start, stop in ((0, k), (k, k + 1), (k + 1, len(ids)))
-                  if start < stop]
-        kept = max(pieces, key=lambda piece: piece[1] - piece[0])
-        pieces.remove(kept)
-        for start, stop in pieces:
-            piece = PaymentRun(ids[start:stop], [], run.hold)
-            for hop in run.hops:
-                part = replace(
-                    hop, payment_ids=piece.payment_ids, first_id=hop.first_id + start * hop.stride
-                )
-                hop.channel.runs[part.first_id] = part
-                piece.hops.append(part)
-            self._payments.update(dict.fromkeys(piece.payment_ids, piece))
-        # A kept piece past the run's start moves to its own first id; the
-        # piece that starts the run has taken over the run's key.
-        start, stop = kept
-        del ids[stop:], ids[:start]
-        if start:
-            for hop in run.hops:
-                hop.first_id += start * hop.stride
-                hop.channel.runs[hop.first_id] = hop
-        return self._payments[payment_id]
+        k = run.offset(payment_id)
+        status = run.status(k)
+        if status is not PaymentStatus.PENDING:
+            raise SimulatorError(f"payment {payment_id} already {status.value}")
+        return run, k
+
+    def _release(self, run: PaymentRun, k: int, status: PaymentStatus) -> None:
+        """Resolve member ``k`` recipient→sender: it leaves each hop on an open
+        channel, paying the hop's recipient if fulfilled and refunding its
+        sender if failed. A hop's run leaves its channel with its last member."""
+        fulfilled = status is PaymentStatus.FULFILLED
+        bit, everyone = 1 << k, (1 << len(run.payment_ids)) - 1
+        for hop in reversed(run.hops):
+            if hop.channel.state is ChannelState.OPEN:
+                hop.gone |= bit
+                if hop.gone == everyone:
+                    del hop.channel.runs[hop.first_id]
+                hop.channel.slots_taken -= 1
+                hop.channel.balances[hop.to_node if fulfilled else hop.from_node] += hop.amount_msat
+        if fulfilled:
+            run.fulfilled |= bit
+        else:
+            run.failed |= bit
+        self._log("fulfill" if fulfilled else "fail", payment=run.payment_ids[k])
 
     # -- time --------------------------------------------------------------
 

@@ -129,6 +129,14 @@ def test_attack_connectivity_all_methods(snapshot_file, capsys):
         assert rows[0] == ["0", "1.000000"]
 
 
+def test_attack_connectivity_takes_no_weight(snapshot_file, capsys):
+    # The method picks the weights, so a --weight flag would be ignored.
+    assert main([
+        "attack-connectivity", "--snapshot", str(snapshot_file), "--weight", "betweenness",
+    ]) == 1
+    assert "unrecognized arguments: --weight betweenness" in capsys.readouterr().err
+
+
 def test_attack_node_json(snapshot_file, capsys):
     victim = "n003"
     assert main(["attack-node", "--snapshot", str(snapshot_file), "--victim", victim]) == 0

@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lnjam.isolation import (
+    MAX_TRAVERSALS,
     IsolationPlan,
     isolation_cost_curve,
     max_traversals,
@@ -15,6 +17,7 @@ from lnjam.inference import tag_nodes
 from lnjam.planner import plan_network_attack
 from lnjam.simulator import SimNetwork, execute_plan
 from lnjam.topology import (
+    LOCKTIME_MAX,
     MAINNET_DEFAULTS,
     GraphChannel,
     ImplLabel,
@@ -57,6 +60,23 @@ def test_traversal_bound_alternates_directions():
 
 def test_oversized_delta_is_unparalyzable():
     assert max_traversals_for_deltas(1600, 1600, tau_min=432) == 0
+
+
+_delta = st.integers(0, 250) | st.sampled_from([500, 1000, 2015, 2016, 3000])
+
+
+@given(delta_victim=_delta, delta_neighbor=_delta, tau_min=st.integers(1, LOCKTIME_MAX - 1))
+def test_traversal_bound_is_the_hop_by_hop_walk(delta_victim, delta_neighbor, tau_min):
+    # Cross the channel one traversal at a time, victim side first, while
+    # the next crossing's delta still fits and the onion has room.
+    budget, walked = LOCKTIME_MAX - tau_min, 0
+    while walked < MAX_TRAVERSALS:
+        charge = delta_victim if walked % 2 == 0 else delta_neighbor
+        if charge > budget:
+            break
+        budget -= charge
+        walked += 1
+    assert max_traversals_for_deltas(delta_victim, delta_neighbor, tau_min) == walked
 
 
 def test_max_traversals_reads_the_victim_direction():

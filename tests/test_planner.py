@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
+from lnjam import planner
 from lnjam.planner import (
     AttackPlan,
     InfeasibleConfigError,
@@ -273,6 +274,25 @@ def test_route_length_sweep_bounds(lnd_mesh):
         route_length_sweep(graph, labels, [2])
     with pytest.raises(InfeasibleConfigError):
         route_length_sweep(graph, labels, [21])
+
+
+@pytest.mark.parametrize("sweep, points, message", [
+    (lock_period_sweep, [1.0, 7.0, 20.0], "lock period of 20.0 days is outside (0, 14)"),
+    (lock_period_sweep, [1.0, 13.999], "tau_min must be in (0, 2016), got 2016"),
+    (route_length_sweep, [20, 12, 2], "route length limit 2 outside [3, 20]"),
+], ids=["days", "tau-min", "route-length"])
+def test_sweeps_check_every_point_before_planning_any(
+    monkeypatch, lnd_mesh, sweep, points, message
+):
+    _, graph, labels = lnd_mesh
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a point was planned before every point was checked")
+
+    monkeypatch.setattr(planner, "plan_network_attack", refuse)
+    with pytest.raises(InfeasibleConfigError) as excinfo:
+        sweep(graph, labels, points)
+    assert str(excinfo.value) == message
 
 
 def test_betweenness_weight_mode_targets_bridges(barbell):

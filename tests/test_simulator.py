@@ -1,5 +1,7 @@
 """HTLC simulator: validation order, settlement, force-closes, scenarios."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -449,6 +451,9 @@ def _assert_invariants(net, stranded):
         assert ch.slots_used() == len(ch.htlcs()) <= ch.slot_limit, ch.channel_id
         assert all(h.channel is ch for h in ch.htlcs())
         assert all(run.first_id == k for k, run in ch.runs.items())
+        # A run none of whose members is left would still count in
+        # ``min_expiry`` and force-close its channel.
+        assert all(run.members() for run in ch.runs.values()), ch.channel_id
     # Every pending HTLC is one of its pending payment's hops, or stranded.
     live = {
         _value(h)
@@ -669,21 +674,53 @@ def test_held_copies_take_one_record_per_hop():
     assert records[0] == records[1] == [1, 1, 1]
 
 
-def test_cutting_members_leaves_the_largest_piece_in_the_run():
-    # Failing the first, then the last, of a 3-hop run of 5 leaves the three
-    # between them in the run's own record, and the state the loop leaves.
+def test_resolved_members_keep_their_places_in_the_run():
+    # Failing the first, then the last, of a 3-hop run of 5 leaves every
+    # member in the run's one record, the three between them on the HTLC ids
+    # they had, and the state the loop leaves.
     ids, path = [f"p{n}" for n in range(5)], ["c0", "c1", "c2"]
     batch, loop = _line_net(3, events=[]), _line_net(3, events=[])
     assert batch.hold_payments(ids, "a0", path, 5000) == (5, None)
     assert _hold_one_by_one(loop, ids, "a0", path, 5000) == (5, None)
     record = batch._payments["p2"]
+    htlc_ids = {p: [h.htlc_id for h in batch.payments[p].hops] for p in ids[1:4]}
     for net in (batch, loop):
         net.fail_payment("p0")
         net.fail_payment("p4")
-    assert all(batch._payments[p] is record for p in ids[1:4])
-    assert record.payment_ids == ids[1:4]
+    assert all(batch._payments[p] is record for p in ids)
+    assert record.payment_ids == ids
+    assert {p: [h.htlc_id for h in batch.payments[p].hops] for p in ids[1:4]} == htlc_ids
     assert _snapshot(batch) == _snapshot(loop)
     _assert_invariants(batch, set())
+
+
+def test_a_long_run_resolves_its_members_in_any_order():
+    # 8,000 members of one run, all but the last 100 of a scrambled order
+    # fulfilled or failed, then those 100 failed too.
+    n, path = 8000, ["c0", "c1"]
+    ids = [f"p{k}" for k in range(n)]
+    net = _line_net(2, slot_limit=n)
+    assert net.hold_payments(ids, "a0", path, 5000) == (n, None)
+    htlc_ids = {p: [h.htlc_id for h in net.payments[p].hops] for p in ids}
+    order = random.Random(1).sample(ids, n)
+    expected = dict.fromkeys(ids, PaymentStatus.PENDING)
+    for step, payment_id in enumerate(order[:-100]):
+        if step % 3:
+            net.fulfill_payment(payment_id)
+            expected[payment_id] = PaymentStatus.FULFILLED
+        else:
+            net.fail_payment(payment_id)
+            expected[payment_id] = PaymentStatus.FAILED
+    assert {p: state.status for p, state in net.payments.items()} == expected
+    for j, channel in enumerate(net.channels.values()):
+        left = sorted(htlc_ids[p][j] for p in order[-100:])
+        assert [h.htlc_id for h in channel.htlcs()] == left
+        assert channel.slots_used() == 100
+    _assert_invariants(net, set())
+    for payment_id in order[-100:]:
+        net.fail_payment(payment_id)
+    assert all(ch.runs == {} and ch.slots_used() == 0 for ch in net.channels.values())
+    _assert_conserved(net)
 
 
 def test_slot_counts_follow_every_change():
