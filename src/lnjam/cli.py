@@ -20,6 +20,7 @@ import logging
 import math
 import sys
 from pathlib import Path
+from typing import Mapping
 
 from . import __version__
 from .cost import BTC_USD_RATE, USD_PER_CHANNEL_OPEN, estimate_costs, price_plan
@@ -72,7 +73,7 @@ PARAM_ALIASES = {
     "fee_rate": "fee_proportional_millionths",
 }
 
-_IMPLS = {label.value: label for label in ImplLabel}
+_IMPLS = {label.value: label for label in MAINNET_DEFAULTS}
 
 
 class InputError(Exception):
@@ -90,6 +91,11 @@ def _load_snapshot(path: str):
 def _load_graph_and_labels(path: str):
     snapshot = _load_snapshot(path)
     return build_graph(snapshot), tag_nodes(snapshot)
+
+
+def _check_victim(victim: str, labels: Mapping[str, ImplLabel]) -> None:
+    if victim not in labels:
+        raise InputError(f"victim node {victim!r} not in snapshot")
 
 
 def _meta(args: argparse.Namespace, **extra) -> list[str]:
@@ -170,8 +176,8 @@ def cmd_tag(args: argparse.Namespace) -> int:
     labels = tag_nodes(snapshot)
     policies = announced_policies(snapshot)
     rows = []
-    counts = {label: 0 for label in ImplLabel}
-    with_policy = {label: 0 for label in ImplLabel}
+    counts = dict.fromkeys(MAINNET_DEFAULTS, 0)
+    with_policy = dict.fromkeys(MAINNET_DEFAULTS, 0)
     n_with_policy = 0
     for node_id in sorted(labels):
         label = labels[node_id]
@@ -185,8 +191,8 @@ def cmd_tag(args: argparse.Namespace) -> int:
 
     def shares(table, denom):
         return ", ".join(
-            f"{label.value}={table[label] / denom:.4f}" if denom else f"{label.value}=0"
-            for label in ImplLabel
+            f"{label.value}={n / denom:.4f}" if denom else f"{label.value}=0"
+            for label, n in table.items()
         )
 
     header = _meta(
@@ -281,8 +287,7 @@ def cmd_attack_connectivity(args: argparse.Namespace) -> int:
 
 def cmd_attack_node(args: argparse.Namespace) -> int:
     graph, labels = _load_graph_and_labels(args.snapshot)
-    if args.victim not in labels:
-        raise InputError(f"victim node {args.victim!r} not in snapshot")
+    _check_victim(args.victim, labels)
     plan = plan_isolation(graph, labels, victim=args.victim, tau_min=args.tau_min)
     body = {
         "plan": plan.to_json_dict(),
@@ -355,21 +360,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK if result.passed else EXIT_ASSERTION
 
 
-def _check_plan_channels(plan: AttackPlan | IsolationPlan, graph: NetworkGraph) -> None:
-    """Raise InputError unless every route is a walk with a positive slot
-    class, an isolation plan's entry channels take 1 to ATTACKER_SLOT_LIMIT
-    HTLCs, every isolation payment crosses its channel 1 to MAX_TRAVERSALS
-    times, and every channel the plan names is in the graph and joins the
-    two nodes the plan says it does."""
+def _check_plan(
+    plan: AttackPlan | IsolationPlan, graph: NetworkGraph, labels: Mapping[str, ImplLabel]
+) -> None:
+    """Raise InputError unless every route is a walk whose slot class its
+    attacker channels can carry (1 to ATTACKER_SLOT_LIMIT), an isolation
+    plan's victim is a labelled node of the snapshot, its entry channels
+    take 1 to ATTACKER_SLOT_LIMIT HTLCs, every isolation payment crosses its
+    channel 1 to MAX_TRAVERSALS times, and every channel the plan names is in
+    the graph and joins the two nodes the plan says it does."""
     if isinstance(plan, AttackPlan):
         for i, route in enumerate(plan.routes, start=1):
             hops = route.hops
-            if route.slot_class < 1 or not hops or any(
-                a.to_node != b.from_node for a, b in zip(hops, hops[1:])
-            ):
-                raise InputError(f"route {i} is not a walk of hops with a positive slot_class")
+            if not hops or any(a.to_node != b.from_node for a, b in zip(hops, hops[1:])):
+                raise InputError(f"route {i} is not a walk of hops")
+            if not 1 <= route.slot_class <= ATTACKER_SLOT_LIMIT:
+                raise InputError(
+                    f"route {i}: slot_class {route.slot_class}"
+                    f" outside [1, {ATTACKER_SLOT_LIMIT}]"
+                )
         joins = [(h.channel_id, h.from_node, h.to_node) for r in plan.routes for h in r.hops]
     else:
+        _check_victim(plan.victim, labels)
         if not 1 <= plan.entry_budget <= ATTACKER_SLOT_LIMIT:
             raise InputError(
                 f"entry_budget {plan.entry_budget} outside [1, {ATTACKER_SLOT_LIMIT}]"
@@ -411,7 +423,7 @@ def cmd_verify_plan(args: argparse.Namespace) -> int:
     try:
         plan_type = AttackPlan if kind == "network-attack" else IsolationPlan
         plan = plan_type.from_json_dict(doc)
-        _check_plan_channels(plan, graph)
+        _check_plan(plan, graph, labels)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed {kind} plan: {exc!r}")
     report = execute_plan(plan, graph, labels)

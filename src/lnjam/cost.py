@@ -22,6 +22,7 @@ from .topology import (
     DefaultsTable,
     ImplLabel,
     NetworkGraph,
+    channel_dust_limit,
 )
 
 logger = logging.getLogger(__name__)
@@ -115,32 +116,18 @@ def hop_amounts_msat(
 ) -> list[int]:
     """HTLC amount carried on each hop, entry first, exit floor last.
 
-    The final entry (index 0) is the total the attacker sends; the last is
-    the floor amount delivered back to the attacker's exit channel. Each
-    forwarding node keeps the fee its outgoing hop's policy demands.
+    The first entry is the total the attacker sends; the last is the floor
+    amount delivered back to the attacker's exit channel: :func:`floor_msat`
+    of the largest :func:`channel_dust_limit` along the route and the route's
+    policies. Each forwarding node keeps the fee its outgoing hop's policy
+    demands.
     """
-    dust = max(defaults.for_label(labels[n]).dust_limit_sat for n in route.node_sequence)
-    policies = [
-        graph.channel(h.channel_id).policy_from(h.from_node) for h in route.hops
-    ]
+    channels = [graph.channel(h.channel_id) for h in route.hops]
+    dust = max(channel_dust_limit(ch, labels, defaults) for ch in channels)
+    policies = [ch.policy_from(h.from_node) for ch, h in zip(channels, route.hops)]
     # None stands for the attacker's own entry hop. The exit hop charges
     # nothing, so the last victim hop already carries the floor.
     return route_amounts([None, *policies], floor_msat(dust, policies))
-
-
-def payment_amount_for_route(
-    route: AttackRoute,
-    graph: NetworkGraph,
-    labels: Mapping[str, ImplLabel],
-    defaults: DefaultsTable = MAINNET_DEFAULTS,
-) -> int:
-    """Total msat the attacker must send to hold one HTLC on every hop.
-
-    The floor is :func:`floor_msat` of the largest dust threshold along the
-    route and the route's policies; fees accumulate backward from the
-    destination so every intermediate residual stays at or above the floor.
-    """
-    return hop_amounts_msat(route, graph, labels, defaults)[0]
 
 
 def price_plan(
@@ -149,9 +136,10 @@ def price_plan(
     labels: Mapping[str, ImplLabel],
     defaults: DefaultsTable = MAINNET_DEFAULTS,
 ) -> AttackPlan:
-    """Fill in payment_amount_msat for every route, in place."""
+    """Fill in payment_amount_msat, the total the attacker sends to hold one
+    HTLC on every hop, for every route, in place."""
     for route in plan.routes:
-        route.payment_amount_msat = payment_amount_for_route(route, graph, labels, defaults)
+        route.payment_amount_msat = hop_amounts_msat(route, graph, labels, defaults)[0]
     return plan
 
 

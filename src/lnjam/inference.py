@@ -24,10 +24,6 @@ from .topology import (
 
 logger = logging.getLogger(__name__)
 
-# Tie-breaks favour the most common implementation first.
-_LABEL_PRIORITY = (ImplLabel.LND, ImplLabel.CLIGHTNING, ImplLabel.ECLAIR)
-
-
 # Per-parameter match weights; they sum to 1.
 CLTV_DELTA_WEIGHT = 0.75
 HTLC_MINIMUM_WEIGHT = 0.2
@@ -38,7 +34,8 @@ def score_node(
     policies: Iterable[ChannelPolicy],
     defaults: DefaultsTable = MAINNET_DEFAULTS,
 ) -> dict[ImplLabel, float]:
-    """Score one node's announced policies against each implementation.
+    """Score one node's announced policies against each implementation, in
+    the order of ``defaults``.
 
     Each policy contributes the weight of every parameter that equals the
     implementation's default; the score is the mean contribution over all
@@ -84,17 +81,14 @@ def tag_nodes(
     """Assign every node the implementation with the highest score.
 
     Ties (including the no-policies case, where all scores are 0) go to the
-    most widespread implementation: LND, then C-Lightning, then Eclair.
+    label listed first in ``defaults``; ``MAINNET_DEFAULTS`` lists the most
+    widespread implementation first: LND, then C-Lightning, then Eclair.
     """
     labels: dict[str, ImplLabel] = {}
     for node_id, policies in announced_policies(snapshot).items():
         scores = score_node(policies, defaults)
-        best = _LABEL_PRIORITY[0]
-        for label in _LABEL_PRIORITY[1:]:
-            if scores[label] > scores[best]:
-                best = label
-        labels[node_id] = best
-    counts = {label: 0 for label in _LABEL_PRIORITY}
+        labels[node_id] = max(scores, key=scores.__getitem__)
+    counts = dict.fromkeys(defaults, 0)
     for label in labels.values():
         counts[label] += 1
     logger.info(

@@ -237,7 +237,7 @@ def _plan_channel(
 
 def _entry_budget(victim_label: ImplLabel, defaults: DefaultsTable) -> int:
     # Pending HTLCs on the attacker's entry channel are capped by both ends.
-    return min(ATTACKER_SLOT_LIMIT, defaults.for_label(victim_label).max_concurrent_htlcs)
+    return min(ATTACKER_SLOT_LIMIT, defaults[victim_label].max_concurrent_htlcs)
 
 
 def plan_isolation(
@@ -292,7 +292,7 @@ def isolation_cost_curve(
     scales with degree divided by the entry-channel budget.
     """
     check_tau_min(tau_min)
-    d = defaults.for_label(implementation)
+    d = defaults[implementation]
     slots = d.max_concurrent_htlcs
     k = max_traversals_for_deltas(d.cltv_expiry_delta, d.cltv_expiry_delta, tau_min)
     budget = _entry_budget(implementation, defaults)

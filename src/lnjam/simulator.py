@@ -39,6 +39,7 @@ from .topology import (
     DefaultsTable,
     ImplLabel,
     NetworkGraph,
+    channel_dust_limit,
     channel_slot_limit,
 )
 
@@ -340,11 +341,6 @@ class SimNetwork:
         endpoints' implementation defaults."""
         net = cls()
         for ch in graph.channels():
-            slot_limit = channel_slot_limit(ch, labels, defaults)
-            dust = max(
-                defaults.for_label(labels[ch.endpoint_a]).dust_limit_sat,
-                defaults.for_label(labels[ch.endpoint_b]).dust_limit_sat,
-            )
             capacity_msat = ch.capacity_sat * MSAT_PER_SAT
             bal_a = int(capacity_msat * BALANCE_SPLIT)
             net.open_channel(
@@ -354,8 +350,8 @@ class SimNetwork:
                 ch.capacity_sat,
                 policy_a_to_b=ch.policy_a_to_b,
                 policy_b_to_a=ch.policy_b_to_a,
-                slot_limit=slot_limit,
-                dust_limit_sat=dust,
+                slot_limit=channel_slot_limit(ch, labels, defaults),
+                dust_limit_sat=channel_dust_limit(ch, labels, defaults),
                 balances=(bal_a, capacity_msat - bal_a),
             )
         return net
@@ -705,20 +701,18 @@ def _try_send(
     return None
 
 
-def _attack_network(
-    net: SimNetwork,
-    plan: AttackPlan,
-    graph: NetworkGraph,
-    labels: Mapping[str, ImplLabel],
-    defaults: DefaultsTable,
-) -> tuple[list[str], list[tuple[int, int]]]:
+def _attack_network(net: SimNetwork, plan: AttackPlan) -> tuple[list[str], list[tuple[int, int]]]:
     """Send ``slot_class`` held payments along each route, between an entry
-    and an exit channel of its own: the failures, and each locked route's
-    lock duration."""
+    and an exit channel of its own, each delivering the route's floor: the
+    failures, and each locked route's lock duration."""
     failures: list[str] = []
     locks: list[tuple[int, int]] = []
     for i, route in enumerate(plan.routes, start=1):
-        delivered = cost_mod.hop_amounts_msat(route, graph, labels, defaults)[-1]
+        channels = [net.channels[h.channel_id] for h in route.hops]
+        delivered = cost_mod.floor_msat(
+            max(ch.dust_limit_sat for ch in channels),
+            [ch.policy_from(h.from_node) for ch, h in zip(channels, route.hops)],
+        )
         start, head = route.hops[0].from_node, route.hops[-1].to_node
         entry = _open_attacker_channel(net, f"atk-e{i}", start, ATTACKER_SLOT_LIMIT)
         exit_ = _open_attacker_channel(net, f"atk-x{i}", head, ATTACKER_SLOT_LIMIT)
@@ -845,7 +839,7 @@ def execute_plan(
         raise TypeError(f"unsupported plan type {type(plan).__name__}")
     net = SimNetwork.from_graph(graph.subgraph(targeted), labels, defaults)
     if isinstance(plan, AttackPlan):
-        failures, locks = _attack_network(net, plan, graph, labels, defaults)
+        failures, locks = _attack_network(net, plan)
     else:
         failures, locks = _attack_isolation(net, plan)
     report = _check_and_report(net, kind, targeted, failures, locks)

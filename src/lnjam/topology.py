@@ -17,6 +17,7 @@ import logging
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
+from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping
 
 logger = logging.getLogger(__name__)
@@ -79,33 +80,15 @@ class ImplDefaults:
     fee_proportional_millionths: int
 
 
-@dataclass(frozen=True)
-class DefaultsTable:
-    """Per-implementation defaults, keyed by :class:`ImplLabel`."""
-
-    lnd: ImplDefaults
-    clightning: ImplDefaults
-    eclair: ImplDefaults
-
-    def for_label(self, label: ImplLabel) -> ImplDefaults:
-        if label is ImplLabel.LND:
-            return self.lnd
-        if label is ImplLabel.CLIGHTNING:
-            return self.clightning
-        if label is ImplLabel.ECLAIR:
-            return self.eclair
-        raise KeyError(label)
-
-    def items(self) -> Iterator[tuple[ImplLabel, ImplDefaults]]:
-        yield ImplLabel.LND, self.lnd
-        yield ImplLabel.CLIGHTNING, self.clightning
-        yield ImplLabel.ECLAIR, self.eclair
+#: Per-implementation defaults. Order matters: tagging ties go to the label
+#: listed first.
+DefaultsTable = Mapping[ImplLabel, ImplDefaults]
 
 
 #: Defaults shipped by the three mainnet implementations (release lines current
 #: at the 2020-09-21 reference snapshot).
-MAINNET_DEFAULTS = DefaultsTable(
-    lnd=ImplDefaults(
+MAINNET_DEFAULTS: DefaultsTable = MappingProxyType({
+    ImplLabel.LND: ImplDefaults(
         cltv_expiry_delta=40,
         min_final_cltv_expiry=40,
         locktime_max=2016,
@@ -115,7 +98,7 @@ MAINNET_DEFAULTS = DefaultsTable(
         fee_base_msat=1000,
         fee_proportional_millionths=1,
     ),
-    clightning=ImplDefaults(
+    ImplLabel.CLIGHTNING: ImplDefaults(
         cltv_expiry_delta=14,
         min_final_cltv_expiry=10,
         locktime_max=2016,
@@ -125,7 +108,7 @@ MAINNET_DEFAULTS = DefaultsTable(
         fee_base_msat=1000,
         fee_proportional_millionths=10,
     ),
-    eclair=ImplDefaults(
+    ImplLabel.ECLAIR: ImplDefaults(
         cltv_expiry_delta=144,
         min_final_cltv_expiry=9,
         locktime_max=2016,
@@ -135,7 +118,7 @@ MAINNET_DEFAULTS = DefaultsTable(
         fee_base_msat=1000,
         fee_proportional_millionths=100,
     ),
-)
+})
 
 
 @dataclass(frozen=True)
@@ -495,6 +478,19 @@ def build_graph(snapshot: Snapshot) -> NetworkGraph:
     return graph
 
 
+def _endpoint_defaults(
+    channel: GraphChannel, labels: Mapping[str, ImplLabel], defaults: DefaultsTable
+) -> tuple[ImplDefaults, ImplDefaults]:
+    """The defaults of both endpoints' implementations. Raises
+    :class:`UnlabeledNodeError` for an endpoint absent from ``labels`` and
+    ``KeyError(label)`` for a label absent from ``defaults``."""
+    try:
+        label_a, label_b = labels[channel.endpoint_a], labels[channel.endpoint_b]
+    except KeyError as exc:
+        raise UnlabeledNodeError(exc.args[0]) from None
+    return defaults[label_a], defaults[label_b]
+
+
 def channel_slot_limit(
     channel: GraphChannel,
     labels: Mapping[str, ImplLabel],
@@ -509,14 +505,19 @@ def channel_slot_limit(
     """
     if channel.slot_limit is not None:
         return channel.slot_limit
-    try:
-        label_a, label_b = labels[channel.endpoint_a], labels[channel.endpoint_b]
-    except KeyError as exc:
-        raise UnlabeledNodeError(exc.args[0]) from None
-    return min(
-        defaults.for_label(label_a).max_concurrent_htlcs,
-        defaults.for_label(label_b).max_concurrent_htlcs,
-    )
+    a, b = _endpoint_defaults(channel, labels, defaults)
+    return min(a.max_concurrent_htlcs, b.max_concurrent_htlcs)
+
+
+def channel_dust_limit(
+    channel: GraphChannel,
+    labels: Mapping[str, ImplLabel],
+    defaults: DefaultsTable = MAINNET_DEFAULTS,
+) -> int:
+    """Dust limit of one channel, sat: the larger of the two endpoints'
+    defaults. Raises as :func:`channel_slot_limit` does."""
+    a, b = _endpoint_defaults(channel, labels, defaults)
+    return max(a.dust_limit_sat, b.dust_limit_sat)
 
 
 def apply_slot_limits(

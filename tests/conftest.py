@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from lnjam.inference import tag_nodes
 from lnjam.topology import build_graph
@@ -7,7 +7,15 @@ from lnjam.topology import build_graph
 import netgen
 
 # Property tests draw the same examples on every run and keep no database.
-settings.register_profile("lnjam", derandomize=True, database=None, deadline=None)
+# They report the first failing example as drawn: shrinking it can take
+# minutes on the simulator's action sequences.
+settings.register_profile(
+    "lnjam",
+    derandomize=True,
+    database=None,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
+)
 settings.load_profile("lnjam")
 
 

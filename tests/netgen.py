@@ -12,11 +12,7 @@ from lnjam.topology import MAINNET_DEFAULTS, Snapshot, parse_snapshot
 
 IMPL_NAMES = ("lnd", "clightning", "eclair")
 
-DEFAULTS_BY_NAME = {
-    "lnd": MAINNET_DEFAULTS.lnd,
-    "clightning": MAINNET_DEFAULTS.clightning,
-    "eclair": MAINNET_DEFAULTS.eclair,
-}
+DEFAULTS_BY_NAME = {label.value: d for label, d in MAINNET_DEFAULTS.items()}
 
 
 def policy_json(defaults, disabled=False, **overrides):

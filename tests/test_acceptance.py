@@ -343,7 +343,7 @@ def test_criterion_7_defaults_table_and_self_tagging(verdict):
     """
     failures: list[str] = []
     for label, expected in EXPECTED_DEFAULTS.items():
-        defaults = MAINNET_DEFAULTS.for_label(label)
+        defaults = MAINNET_DEFAULTS[label]
         for field, value in expected.items():
             actual = getattr(defaults, field)
             if actual != value:
@@ -452,7 +452,7 @@ def test_criterion_9_costs_separate_and_residuals_hold(verdict):
                 graph.channel(h.channel_id).policy_from(h.from_node) for h in route.hops
             ]
             floor = max(
-                max(MAINNET_DEFAULTS.for_label(labels[n]).dust_limit_sat
+                max(MAINNET_DEFAULTS[labels[n]].dust_limit_sat
                     for n in route.node_sequence) * 1000,
                 max(p.htlc_minimum_msat for p in policies),
             )

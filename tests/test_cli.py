@@ -249,6 +249,8 @@ def test_verify_plan_rejects_malformed_input(snapshot_file, tmp_path, capsys):
         edited(network, lambda d: d["routes"][0]["hops"][0].update({"from": "n999"})),
         edited(network, lambda d: d["routes"][0].update(slot_class="many")),
         edited(network, lambda d: d["routes"][0].update(slot_class=0)),
+        # A slot class beyond what the attacker's 483-slot channels carry.
+        edited(network, lambda d: d["routes"][0].update(slot_class=484)),
         edited(network, lambda d: d["routes"][0]["hops"].reverse()),
         edited(isolation, lambda d: d["per_channel"][0].update(channel_id="nope")),
         edited(isolation, lambda d: d["per_channel"][0].update(channel_id=far)),
@@ -258,13 +260,17 @@ def test_verify_plan_rejects_malformed_input(snapshot_file, tmp_path, capsys):
         # So are entry channels that could hold no HTLC at all.
         edited(isolation, lambda d: d.update(entry_budget=0)),
         edited(isolation, lambda d: d.update(entry_budget=-3)),
+        # A victim outside the snapshot, even one with no channels to check.
+        edited(isolation, lambda d: d.update(victim="ghost", per_channel=[])),
     ):
         assert verify(doc) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 14
+    assert err.count("error:") == 16
     assert err.count("outside [1, 18]") == 2
-    assert err.count("outside [1, 483]") == 2
+    assert err.count("outside [1, 483]") == 4
+    assert err.count("victim node 'ghost' not in snapshot") == 1
     assert "Traceback" not in err
+    assert verify(edited(isolation, lambda d: d.update(per_channel=[]))) == 0
 
 
 def test_csv_output_is_byte_identical_across_runs(snapshot_file, tmp_path):

@@ -10,11 +10,10 @@ from lnjam.cost import (
     USD_PER_CHANNEL_OPEN,
     estimate_costs,
     hop_amounts_msat,
-    payment_amount_for_route,
     price_plan,
 )
 from lnjam.inference import tag_nodes
-from lnjam.planner import PlannerConfig, choose_routes, plan_network_attack
+from lnjam.planner import AttackPlan, PlannerConfig, choose_routes, plan_network_attack
 from lnjam.simulator import execute_plan
 from lnjam.topology import (
     MAINNET_DEFAULTS,
@@ -52,11 +51,13 @@ def _fee(policy, amount):
 
 def test_two_hop_lnd_route_costs_575002_msat():
     graph, labels = _lnd_line(2)
-    route = choose_routes(graph, PlannerConfig())[0]
+    config = PlannerConfig()
+    route = choose_routes(graph, config)[0]
     amounts = hop_amounts_msat(route, graph, labels)
     # Dust floor 573 sat, then 1000 msat base plus 1 msat proportional per hop.
     assert amounts == [575002, 574001, 573000]
-    assert payment_amount_for_route(route, graph, labels) == 575002
+    plan = price_plan(AttackPlan.covering(graph, [route], config.tau_min), graph, labels)
+    assert plan.routes[0].payment_amount_msat == 575002
 
 
 def test_amounts_satisfy_the_backward_fee_recurrence():
@@ -78,7 +79,7 @@ def test_amounts_satisfy_the_backward_fee_recurrence():
                 ]
                 floor = max(
                     max(
-                        MAINNET_DEFAULTS.for_label(labels[n]).dust_limit_sat
+                        MAINNET_DEFAULTS[labels[n]].dust_limit_sat
                         for n in route.node_sequence
                     ) * 1000,
                     max(p.htlc_minimum_msat for p in policies),
@@ -119,7 +120,8 @@ def test_dust_floor_uses_the_largest_along_the_route():
 def test_zero_floors_still_carry_one_msat():
     # No dust limit and no announced minimum: the floor is one msat, not a
     # zero-amount payment that the simulator refuses.
-    defaults = replace(MAINNET_DEFAULTS, lnd=replace(MAINNET_DEFAULTS.lnd, dust_limit_sat=0))
+    lnd = replace(MAINNET_DEFAULTS[ImplLabel.LND], dust_limit_sat=0)
+    defaults = {**MAINNET_DEFAULTS, ImplLabel.LND: lnd}
     graph, labels = _lnd_line(2, min_htlc=0, fee_base_msat=0, fee_rate_milli_msat=0)
     plan = plan_network_attack(graph, labels, defaults)
     assert [hop_amounts_msat(r, graph, labels, defaults) for r in plan.routes] == [[1, 1, 1]]

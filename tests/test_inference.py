@@ -2,6 +2,7 @@
 
 import pytest
 
+from lnjam.cost import price_plan
 from lnjam.inference import (
     CLTV_DELTA_WEIGHT,
     FEE_RATE_WEIGHT,
@@ -11,6 +12,8 @@ from lnjam.inference import (
     split_by_slot_class,
     tag_nodes,
 )
+from lnjam.planner import plan_network_attack
+from lnjam.simulator import execute_plan
 from lnjam.topology import (
     MAINNET_DEFAULTS,
     ChannelPolicy,
@@ -24,7 +27,7 @@ import netgen
 
 
 def _default_policy(label: ImplLabel) -> ChannelPolicy:
-    d = MAINNET_DEFAULTS.for_label(label)
+    d = MAINNET_DEFAULTS[label]
     return ChannelPolicy(
         cltv_expiry_delta=d.cltv_expiry_delta,
         htlc_minimum_msat=d.htlc_minimum_msat,
@@ -65,6 +68,9 @@ def test_no_policies_scores_zero_and_tags_most_common_impl():
     assert set(score_node([]).values()) == {0.0}
     snapshot = parse_snapshot(netgen.snapshot_json(["loner"], []))
     assert tag_nodes(snapshot) == {"loner": ImplLabel.LND}
+    # The tie goes to the label listed first in the table.
+    cl_first = {ImplLabel.CLIGHTNING: MAINNET_DEFAULTS[ImplLabel.CLIGHTNING], **MAINNET_DEFAULTS}
+    assert tag_nodes(snapshot, cl_first) == {"loner": ImplLabel.CLIGHTNING}
 
 
 def test_tie_break_order_is_lnd_then_clightning_then_eclair():
@@ -87,6 +93,8 @@ def test_tie_break_order_is_lnd_then_clightning_then_eclair():
         )
     )
     assert tag_nodes(snapshot)["n1"] is ImplLabel.LND
+    eclair_first = {ImplLabel.ECLAIR: MAINNET_DEFAULTS[ImplLabel.ECLAIR], **MAINNET_DEFAULTS}
+    assert tag_nodes(snapshot, eclair_first)["n1"] is ImplLabel.ECLAIR
 
 
 def test_disabled_directions_still_count_as_evidence():
@@ -105,6 +113,18 @@ def test_disabled_directions_still_count_as_evidence():
     policies = announced_policies(snapshot)
     assert len(policies["n1"]) == 1
     assert tag_nodes(snapshot)["n1"] is ImplLabel.ECLAIR
+
+
+def test_a_one_implementation_table_tags_and_plans(lnd_mesh):
+    snapshot, graph, mainnet_labels = lnd_mesh
+    table = {ImplLabel.LND: MAINNET_DEFAULTS[ImplLabel.LND]}
+    labels = tag_nodes(snapshot, table)
+    assert labels == mainnet_labels
+    plan = price_plan(plan_network_attack(graph, labels, table), graph, labels, table)
+    assert plan.routes and plan.uncovered_channel_ids == ()
+    mainnet = price_plan(plan_network_attack(graph, labels), graph, labels)
+    assert plan.to_json_dict() == mainnet.to_json_dict()
+    assert execute_plan(plan, graph, labels, table).ok
 
 
 def test_synthetic_mix_is_tagged_exactly(mixed_mesh):

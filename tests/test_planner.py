@@ -199,10 +199,8 @@ def test_plan_covers_mixed_graph_via_class_split(mixed_mesh):
 def test_custom_defaults_table_plans_every_slot_class():
     # C-Lightning raised to 100 slots: LND-LND channels keep 483, channels
     # with a C-Lightning end and no Eclair end get 100, Eclair caps at 30.
-    table = replace(
-        MAINNET_DEFAULTS,
-        clightning=replace(MAINNET_DEFAULTS.clightning, max_concurrent_htlcs=100),
-    )
+    clightning = replace(MAINNET_DEFAULTS[ImplLabel.CLIGHTNING], max_concurrent_htlcs=100)
+    table = {**MAINNET_DEFAULTS, ImplLabel.CLIGHTNING: clightning}
     snapshot = netgen.random_snapshot(30, 20, seed=42, impl_names=netgen.IMPL_NAMES)
     labels = tag_nodes(snapshot)
     limited = apply_slot_limits(build_graph(snapshot), labels, table)

@@ -21,7 +21,14 @@ from lnjam.cost import route_amounts
 from lnjam.inference import tag_nodes
 from lnjam.isolation import plan_isolation
 from lnjam.planner import plan_network_attack
-from lnjam.topology import ChannelPolicy, ImplLabel, build_graph, parse_snapshot
+from lnjam.topology import (
+    ChannelPolicy,
+    ImplLabel,
+    UnlabeledNodeError,
+    apply_slot_limits,
+    build_graph,
+    parse_snapshot,
+)
 
 import netgen
 
@@ -816,6 +823,18 @@ def test_replay_sends_only_held_payments_and_probes(monkeypatch, small_channel_m
         stopped = sum(" payment " in failure for failure in report.failures)
         assert len(calls) == report.payments_sent + stopped + report.probes_attempted
         assert len(calls) == len(set(calls))
+
+
+def test_replay_names_a_node_missing_from_the_labels(lnd_mesh):
+    # The slot limits are attached already; the dust limits still need labels.
+    _, graph, labels = lnd_mesh
+    limited = apply_slot_limits(graph, labels)
+    plan = plan_network_attack(limited, labels)
+    node = plan.routes[0].hops[0].from_node
+    partial = {n: label for n, label in labels.items() if n != node}
+    with pytest.raises(UnlabeledNodeError) as exc:
+        execute_plan(plan, limited, partial)
+    assert exc.value.node_id == node
 
 
 # -- scenario scripts ---------------------------------------------------------

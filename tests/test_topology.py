@@ -12,6 +12,8 @@ from lnjam.topology import (
     UnlabeledNodeError,
     apply_slot_limits,
     build_graph,
+    channel_dust_limit,
+    channel_slot_limit,
     parameter_histogram,
     parse_snapshot,
     serialize_snapshot,
@@ -148,6 +150,23 @@ def test_slot_limits_need_both_endpoints_lnd():
     assert limited.channel("small").slot_limit == 30
     with pytest.raises(UnlabeledNodeError):
         apply_slot_limits(graph, {"l1": ImplLabel.LND}, MAINNET_DEFAULTS)
+
+
+def test_channel_rules_read_both_endpoints_through_the_table():
+    lnd, cl = netgen.policy_json(LND), netgen.policy_json(CL)
+    channel = netgen.channel_json("x", "l1", "c1", 500_000, lnd, cl)
+    ch = build_graph(parse_snapshot(netgen.snapshot_json(["l1", "c1"], [channel]))).channel("x")
+    labels = {"l1": ImplLabel.LND, "c1": ImplLabel.CLIGHTNING}
+    assert channel_dust_limit(ch, labels) == 573
+    assert channel_slot_limit(ch, labels) == 30
+    lnd_only = {ImplLabel.LND: MAINNET_DEFAULTS[ImplLabel.LND]}
+    for rule in (channel_dust_limit, channel_slot_limit):
+        with pytest.raises(UnlabeledNodeError) as exc:
+            rule(ch, {"l1": ImplLabel.LND})
+        assert exc.value.node_id == "c1"
+        with pytest.raises(KeyError) as exc:
+            rule(ch, labels, lnd_only)
+        assert exc.type is KeyError and exc.value.args == (ImplLabel.CLIGHTNING,)
 
 
 def test_histogram_folds_rare_values_into_other():
