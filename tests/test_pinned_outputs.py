@@ -2,9 +2,10 @@
 
 The digests were computed on the code these outputs come from and are
 compared byte for byte: the four builtin scenarios' ``simulate --log`` event
-logs and step records, and the verification reports of a network plan and
+logs and step records, the verification reports of a network plan and
 ten isolation plans on one mixed-implementation snapshot whose small
-channels make some replays fail.
+channels make some replays fail, and what set-up gives the CLI on another
+such snapshot (``ingest`` output, ``tag`` CSV body, ``attack-network`` plan).
 """
 
 import hashlib
@@ -17,6 +18,9 @@ from lnjam.cli import main
 from lnjam.isolation import plan_isolation
 from lnjam.planner import plan_network_attack
 from lnjam.simulator import builtin_scenario, execute_plan, run_scenario
+from lnjam.topology import serialize_snapshot
+
+import netgen
 
 # scenario -> (event log sha256, step records sha256)
 SCENARIOS = {
@@ -40,6 +44,14 @@ SCENARIOS = {
 
 NETWORK_REPORT = "e22ef62c54792f613202f7ab7e990863e51fea44258c24c81f5d1c76ce8a1080"
 ISOLATION_REPORTS = "ef3aa235e276dabc0f2f3da567b04edcc7055cc0684e314db42dc87a451a6881"
+
+# command -> sha256 of what it writes, comment lines dropped (they name the
+# version)
+SETUP_OUTPUTS = {
+    "ingest": "3760dd3fb3cecdf1e36f3396356d38dfc3a79c20f30a871b81a67f36e7f6a6cc",
+    "tag": "5f161337aba473cd3be628989af5286b4ffbaa2b30def122ab58243c52de03ae",
+    "attack-network": "395f3806f18c041e0a230cb29dcee3fb1f6c053a9d22e150f6859573c155c77e",
+}
 
 
 def _sha256(data: str | bytes) -> str:
@@ -75,3 +87,32 @@ def test_replay_reports_are_pinned(small_channel_mesh):
         "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in isolations)
     ) == ISOLATION_REPORTS
     assert elapsed < 1.0
+
+
+def _setup_snapshot_json() -> str:
+    """Mixed implementations, some custom fees, one disabled direction, one
+    unannounced direction and one invalid policy."""
+    snapshot = netgen.random_snapshot(80, 160, seed=5, impl_names=netgen.IMPL_NAMES)
+    doc = json.loads(serialize_snapshot(snapshot))
+    for k, edge in enumerate(doc["edges"]):
+        if k % 7 == 0:
+            edge["node1_policy"]["fee_base_msat"] = str(k % 3 * 500)
+    doc["edges"][3]["node1_policy"]["disabled"] = True
+    doc["edges"][5]["node2_policy"] = None
+    doc["edges"][9]["node2_policy"]["time_lock_delta"] = "-5"
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command", sorted(SETUP_OUTPUTS))
+def test_setup_outputs_are_pinned(command, tmp_path):
+    snapshot = tmp_path / "graph.json"
+    snapshot.write_text(_setup_snapshot_json())
+    out = tmp_path / "out"
+    args = [command, "--snapshot", str(snapshot), "--output", str(out)]
+    if command == "attack-network":
+        out = tmp_path / "plan.json"
+        args += ["--plan-out", str(out)]
+    assert main(args) == 0
+    lines = out.read_text().splitlines()
+    body = "".join(line + "\n" for line in lines if not line.startswith("#"))
+    assert _sha256(body) == SETUP_OUTPUTS[command]
