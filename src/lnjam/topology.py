@@ -15,7 +15,7 @@ import datetime
 import json
 import logging
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping
@@ -312,28 +312,67 @@ class NetworkGraph:
         gone = set(channel_ids)
         return NetworkGraph(ch for cid, ch in self._channels.items() if cid not in gone)
 
+    def _with_channels(self, channels: dict[str, GraphChannel]) -> "NetworkGraph":
+        """This graph with its channels swapped for ``channels``, which hold
+        the same ids in the same order: the order and the adjacency are
+        reused, not rebuilt."""
+        graph = object.__new__(NetworkGraph)
+        graph.__dict__.update(self.__dict__, _channels=channels)
+        return graph
 
-def _parse_policy(raw, channel_id: str) -> ChannelPolicy | None:
+
+def _int_field(value) -> int:
+    """A snapshot integer: a JSON integer that is not a bool, or a string of
+    ASCII digits. Anything else raises ``ValueError``."""
+    if type(value) is int:
+        return value
+    if type(value) is str and value.isascii() and value.isdigit():
+        return int(value)
+    raise ValueError(f"expected an integer or a string of digits, got {value!r}")
+
+
+def _parse_policy(
+    raw, channel_id: str, interned: dict[tuple, ChannelPolicy]
+) -> ChannelPolicy | None:
+    """The policy ``raw`` announces, built and validated once per distinct
+    announcement in ``interned``. A policy that fails validation is never
+    stored, so every record that carries it fails."""
     if raw is None:
         return None
     if not isinstance(raw, dict):
         raise ValueError(f"policy of {channel_id} is not an object")
-    return ChannelPolicy(
-        cltv_expiry_delta=int(raw["time_lock_delta"]),
-        htlc_minimum_msat=int(raw["min_htlc"]),
-        fee_base_msat=int(raw["fee_base_msat"]),
-        fee_proportional_millionths=int(raw["fee_rate_milli_msat"]),
-        disabled=bool(raw.get("disabled", False)),
+    delta, minimum = raw["time_lock_delta"], raw["min_htlc"]
+    base, rate = raw["fee_base_msat"], raw["fee_rate_milli_msat"]
+    disabled = raw.get("disabled", False)
+    # (type, value) pairs: True == 1 == 1.0, so bare values would let a
+    # malformed field reuse the policy built for a valid one.
+    key = (
+        type(delta), delta, type(minimum), minimum, type(base), base,
+        type(rate), rate, type(disabled), disabled,
     )
+    policy = interned.get(key)
+    if policy is None:
+        if type(disabled) is not bool:
+            raise ValueError(f"disabled of {channel_id} is not a boolean")
+        policy = interned[key] = ChannelPolicy(
+            cltv_expiry_delta=_int_field(delta),
+            htlc_minimum_msat=_int_field(minimum),
+            fee_base_msat=_int_field(base),
+            fee_proportional_millionths=_int_field(rate),
+            disabled=disabled,
+        )
+    return policy
 
 
 def parse_snapshot(raw: str | bytes | IO) -> Snapshot:
     """Parse a ``describegraph``-style JSON snapshot.
 
     Records with malformed or missing required fields are skipped and counted
-    in ``Snapshot.skipped_records``; unknown fields are ignored. Structural
-    problems (not JSON, missing top-level arrays) raise
-    :class:`SnapshotParseError`.
+    in ``Snapshot.skipped_records``; unknown fields are ignored. An integer
+    field takes a JSON integer or a string of ASCII digits, ``disabled`` a
+    JSON boolean. Structural problems (not JSON, missing top-level arrays)
+    raise :class:`SnapshotParseError`. Records announcing equal policies share
+    one :class:`ChannelPolicy`.
     """
     if hasattr(raw, "read"):
         raw = raw.read()
@@ -365,12 +404,13 @@ def parse_snapshot(raw: str | bytes | IO) -> Snapshot:
 
     channels: list[ChannelRecord] = []
     seen_channels: set[str] = set()
+    policies: dict[tuple, ChannelPolicy] = {}
     for entry in raw_edges:
         try:
             channel_id = str(entry["channel_id"])
             node1 = entry["node1_pub"]
             node2 = entry["node2_pub"]
-            capacity = int(entry["capacity"])
+            capacity = _int_field(entry["capacity"])
             if channel_id in seen_channels or node1 == node2 or capacity <= 0:
                 raise ValueError
             if node1 not in seen_nodes or node2 not in seen_nodes:
@@ -381,8 +421,8 @@ def parse_snapshot(raw: str | bytes | IO) -> Snapshot:
                     endpoint_a=node1,
                     endpoint_b=node2,
                     capacity_sat=capacity,
-                    policy_a_to_b=_parse_policy(entry.get("node1_policy"), channel_id),
-                    policy_b_to_a=_parse_policy(entry.get("node2_policy"), channel_id),
+                    policy_a_to_b=_parse_policy(entry.get("node1_policy"), channel_id, policies),
+                    policy_b_to_a=_parse_policy(entry.get("node2_policy"), channel_id, policies),
                 )
             )
             seen_channels.add(channel_id)
@@ -478,16 +518,24 @@ def build_graph(snapshot: Snapshot) -> NetworkGraph:
     return graph
 
 
+def _endpoint_labels(
+    channel: GraphChannel, labels: Mapping[str, ImplLabel]
+) -> tuple[ImplLabel, ImplLabel]:
+    """Both endpoints' labels. Raises :class:`UnlabeledNodeError` for an
+    endpoint absent from ``labels``."""
+    try:
+        return labels[channel.endpoint_a], labels[channel.endpoint_b]
+    except KeyError as exc:
+        raise UnlabeledNodeError(exc.args[0]) from None
+
+
 def _endpoint_defaults(
     channel: GraphChannel, labels: Mapping[str, ImplLabel], defaults: DefaultsTable
 ) -> tuple[ImplDefaults, ImplDefaults]:
-    """The defaults of both endpoints' implementations. Raises
-    :class:`UnlabeledNodeError` for an endpoint absent from ``labels`` and
-    ``KeyError(label)`` for a label absent from ``defaults``."""
-    try:
-        label_a, label_b = labels[channel.endpoint_a], labels[channel.endpoint_b]
-    except KeyError as exc:
-        raise UnlabeledNodeError(exc.args[0]) from None
+    """The defaults of both endpoints' implementations. Raises as
+    :func:`_endpoint_labels` does, and ``KeyError(label)`` for a label absent
+    from ``defaults``."""
+    label_a, label_b = _endpoint_labels(channel, labels)
     return defaults[label_a], defaults[label_b]
 
 
@@ -533,14 +581,21 @@ def apply_slot_limits(
     """
     if all(ch.slot_limit is not None for ch in graph.channels()):
         return graph
-    return NetworkGraph(
-        (
-            replace(ch, slot_limit=channel_slot_limit(ch, labels, defaults))
-            for ch in graph.channels()
-        ),
-        dropped_disabled=graph.dropped_disabled,
-        dropped_missing_policy=graph.dropped_missing_policy,
-    )
+    # The limit depends only on the two endpoints' labels.
+    pair_limits: dict[tuple[ImplLabel, ImplLabel], int] = {}
+    limited: dict[str, GraphChannel] = {}
+    for cid, ch in graph._channels.items():
+        limit = ch.slot_limit
+        if limit is None:
+            pair = _endpoint_labels(ch, labels)
+            limit = pair_limits.get(pair)
+            if limit is None:
+                limit = pair_limits[pair] = channel_slot_limit(ch, labels, defaults)
+        limited[cid] = GraphChannel(
+            cid, ch.endpoint_a, ch.endpoint_b, ch.capacity_sat,
+            ch.policy_a_to_b, ch.policy_b_to_a, limit,
+        )
+    return graph._with_channels(limited)
 
 
 def parameter_histogram(

@@ -1,13 +1,17 @@
 """Snapshot parsing, graph construction, and policy bookkeeping."""
 
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lnjam.topology import (
     MAINNET_DEFAULTS,
+    MAX_CLTV_DELTA,
     ChannelPolicy,
     ImplLabel,
+    NetworkGraph,
     SnapshotParseError,
     UnlabeledNodeError,
     apply_slot_limits,
@@ -74,6 +78,104 @@ def test_malformed_records_are_skipped_not_fatal():
     snapshot = parse_snapshot(json.dumps(doc))
     assert [c.channel_id for c in snapshot.channels] == ["ok"]
     assert snapshot.skipped_records == 6
+
+
+def _two_channel_snapshot(good_policy, bad_policy, good_capacity=500_000, bad_capacity=500_000):
+    """Channel "good" announces ``good_policy`` both ways, then channel "bad"
+    announces ``bad_policy`` from x."""
+    good = netgen.channel_json("good", "x", "y", 500_000, good_policy, good_policy)
+    bad = netgen.channel_json("bad", "x", "y", 500_000, bad_policy, netgen.policy_json(LND))
+    good["capacity"], bad["capacity"] = good_capacity, bad_capacity
+    return parse_snapshot(netgen.snapshot_json(["x", "y"], [good, bad]))
+
+
+# Each bad value compares and hashes equal to the good one beside it, so a
+# parser that keyed its policies on bare values would reuse the good policy.
+@pytest.mark.parametrize("field, good, bad", [
+    ("time_lock_delta", 40, 40.9),
+    ("time_lock_delta", 40, 40.0),
+    ("time_lock_delta", 1, True),
+    ("time_lock_delta", "40", " 40"),
+    ("time_lock_delta", "40", "+40"),
+    ("time_lock_delta", "40", "4_0"),
+    ("time_lock_delta", "40", "\u0664\u0660"),  # Arabic-Indic digits
+    ("min_htlc", 2, 2.5),
+    ("fee_base_msat", "1000", 1000.0),
+    ("fee_rate_milli_msat", 0, False),
+    ("disabled", False, "false"),
+    ("disabled", False, 0),
+    ("disabled", True, 1),
+    ("disabled", False, None),
+])
+def test_malformed_policy_fields_skip_the_record(field, good, bad):
+    good_policy, bad_policy = netgen.policy_json(LND), netgen.policy_json(LND)
+    good_policy[field], bad_policy[field] = good, bad
+    snapshot = _two_channel_snapshot(good_policy, bad_policy)
+    assert [c.channel_id for c in snapshot.channels] == ["good"]
+    assert snapshot.skipped_records == 1
+
+
+@pytest.mark.parametrize("bad", [1000.7, 1000.0, True, "1e3", "-1000", None])
+def test_malformed_capacity_skips_the_record(bad):
+    policy = netgen.policy_json(LND)
+    snapshot = _two_channel_snapshot(policy, policy, good_capacity=1000, bad_capacity=bad)
+    assert [c.channel_id for c in snapshot.channels] == ["good"]
+    assert snapshot.skipped_records == 1
+
+
+def test_integer_fields_take_integers_and_digit_strings():
+    as_ints = {"time_lock_delta": 40, "min_htlc": 1000, "fee_base_msat": 0,
+               "fee_rate_milli_msat": 1}
+    as_strings = {key: f"{value:04d}" for key, value in as_ints.items()}
+    channels = [
+        netgen.channel_json("a", "x", "y", 1000, as_ints, {**as_strings, "disabled": False}),
+        netgen.channel_json("b", "x", "y", 1000, as_strings, as_ints),
+    ]
+    channels[1]["capacity"] = 1000
+    snapshot = parse_snapshot(netgen.snapshot_json(["x", "y"], channels))
+    assert snapshot.skipped_records == 0
+    expected = ChannelPolicy(40, 1000, 0, 1)
+    for ch in snapshot.channels:
+        assert ch.capacity_sat == 1000
+        assert ch.policy_a_to_b == ch.policy_b_to_a == expected
+
+
+def test_equal_announcements_share_one_policy():
+    lnd, cl = netgen.policy_json(LND), netgen.policy_json(CL)
+    lnd_off = netgen.policy_json(LND, disabled=True)
+    channels = [
+        netgen.channel_json("c1", "x", "y", 500_000, lnd, cl),
+        netgen.channel_json("c2", "y", "z", 500_000, dict(lnd), dict(lnd)),
+        netgen.channel_json("c3", "x", "z", 500_000, dict(cl), lnd_off),
+    ]
+    c1, c2, c3 = parse_snapshot(netgen.snapshot_json(["x", "y", "z"], channels)).channels
+    assert c1.policy_a_to_b is c2.policy_a_to_b is c2.policy_b_to_a
+    assert c1.policy_b_to_a is c3.policy_a_to_b
+    assert c1.policy_a_to_b is not c1.policy_b_to_a
+    assert c3.policy_b_to_a.disabled and not c1.policy_a_to_b.disabled
+    assert c3.policy_b_to_a is not c1.policy_a_to_b
+    assert replace(c3.policy_b_to_a, disabled=False) == c1.policy_a_to_b
+
+
+def test_an_invalid_policy_skips_every_record_that_carries_it():
+    bad = netgen.policy_json(LND, time_lock_delta=MAX_CLTV_DELTA)
+    good = netgen.policy_json(LND)
+    channels = [
+        netgen.channel_json("b1", "x", "y", 500_000, bad, good),
+        netgen.channel_json("ok", "x", "y", 500_000, good, good),
+        netgen.channel_json("b2", "y", "x", 500_000, good, dict(bad)),
+    ]
+    snapshot = parse_snapshot(netgen.snapshot_json(["x", "y"], channels))
+    assert [c.channel_id for c in snapshot.channels] == ["ok"]
+    assert snapshot.skipped_records == 2
+
+
+def test_round_trip_keeps_records_and_their_sharing():
+    snapshot = netgen.random_snapshot(40, 60, seed=11, impl_names=netgen.IMPL_NAMES)
+    again = parse_snapshot(serialize_snapshot(snapshot))
+    assert again == snapshot
+    policies = [p for ch in again.channels for p in (ch.policy_a_to_b, ch.policy_b_to_a)]
+    assert len({id(p) for p in policies}) == len(set(policies)) == 3
 
 
 def test_parse_rejects_non_object_payload():
@@ -150,6 +252,77 @@ def test_slot_limits_need_both_endpoints_lnd():
     assert limited.channel("small").slot_limit == 30
     with pytest.raises(UnlabeledNodeError):
         apply_slot_limits(graph, {"l1": ImplLabel.LND}, MAINNET_DEFAULTS)
+
+
+def _first_limit_error(graph, labels, table):
+    """The error, if any, of the per-channel rule over the channels without
+    a limit, in channel order."""
+    for ch in graph.channels():
+        if ch.slot_limit is None:
+            try:
+                channel_slot_limit(ch, labels, table)
+            except (UnlabeledNodeError, KeyError) as exc:
+                return exc
+    return None
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n_nodes=st.integers(4, 30),
+    extra=st.integers(0, 40),
+    node_labels=st.lists(st.sampled_from(list(ImplLabel)), min_size=30, max_size=30),
+    limits=st.permutations([483, 30, 7]),
+    preset=st.sets(st.integers(0, 70), max_size=4),
+    fault=st.sampled_from(["none", "unlabeled", "missing_from_table"]),
+    victims=st.lists(st.integers(0, 29), min_size=1, max_size=3),
+)
+def test_slot_limits_are_the_per_channel_rule(
+    seed, n_nodes, extra, node_labels, limits, preset, fault, victims
+):
+    source = build_graph(netgen.random_snapshot(n_nodes, extra, seed))
+    graph = NetworkGraph(
+        replace(ch, slot_limit=100 + i) if i in preset else ch
+        for i, ch in enumerate(source.channels())
+    )
+    labels = dict(zip(graph.nodes, node_labels))
+    table = {
+        label: replace(MAINNET_DEFAULTS[label], max_concurrent_htlcs=limit)
+        for label, limit in zip(MAINNET_DEFAULTS, limits)
+    }
+    if fault == "unlabeled":
+        for k in victims:
+            labels.pop(graph.nodes[k % len(graph.nodes)], None)
+    elif fault == "missing_from_table":
+        for k in victims[:2]:
+            table.pop(list(ImplLabel)[k % len(ImplLabel)], None)
+
+    expected_error = _first_limit_error(graph, labels, table)
+    if expected_error is not None:
+        with pytest.raises(type(expected_error)) as exc:
+            apply_slot_limits(graph, labels, table)
+        assert exc.type is type(expected_error)
+        assert exc.value.args == expected_error.args
+        if isinstance(expected_error, UnlabeledNodeError):
+            assert exc.value.node_id == expected_error.node_id
+        return
+
+    limited = apply_slot_limits(graph, labels, table)
+    # Every channel now carries a limit, so nothing is looked up.
+    assert apply_slot_limits(limited, {}, {}) is limited
+    assert limited.channel_ids == graph.channel_ids
+    for ch in graph.channels():
+        got = limited.channel(ch.channel_id)
+        assert got.slot_limit == channel_slot_limit(ch, labels, table)
+        if ch.slot_limit is not None:
+            assert got.slot_limit == ch.slot_limit
+        assert replace(got, slot_limit=ch.slot_limit) == ch
+    assert limited.nodes == graph.nodes
+    for node in graph.nodes:
+        assert limited.channels_of(node) == graph.channels_of(node)
+        assert limited.degree(node) == graph.degree(node)
+    assert (limited.dropped_disabled, limited.dropped_missing_policy) == (
+        graph.dropped_disabled, graph.dropped_missing_policy
+    )
 
 
 def test_channel_rules_read_both_endpoints_through_the_table():
