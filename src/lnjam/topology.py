@@ -584,15 +584,15 @@ def apply_slot_limits(
     # The limit depends only on the two endpoints' labels.
     pair_limits: dict[tuple[ImplLabel, ImplLabel], int] = {}
     limited: dict[str, GraphChannel] = {}
-    for cid, ch in graph._channels.items():
+    for ch in graph.channels():
         limit = ch.slot_limit
         if limit is None:
             pair = _endpoint_labels(ch, labels)
             limit = pair_limits.get(pair)
             if limit is None:
                 limit = pair_limits[pair] = channel_slot_limit(ch, labels, defaults)
-        limited[cid] = GraphChannel(
-            cid, ch.endpoint_a, ch.endpoint_b, ch.capacity_sat,
+        limited[ch.channel_id] = GraphChannel(
+            ch.channel_id, ch.endpoint_a, ch.endpoint_b, ch.capacity_sat,
             ch.policy_a_to_b, ch.policy_b_to_a, limit,
         )
     return graph._with_channels(limited)
