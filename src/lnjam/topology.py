@@ -165,28 +165,11 @@ class NodeRecord:
 
 
 @dataclass(frozen=True)
-class ChannelRecord:
-    """A channel as announced, before usability filtering.
-
-    ``policy_a_to_b`` is the policy announced by ``endpoint_a`` and governs
-    traversals from a to b; likewise for ``policy_b_to_a``. Either may be
-    None when the snapshot has no announcement for that direction.
-    """
-
-    channel_id: str
-    endpoint_a: str
-    endpoint_b: str
-    capacity_sat: int
-    policy_a_to_b: ChannelPolicy | None = None
-    policy_b_to_a: ChannelPolicy | None = None
-
-
-@dataclass(frozen=True)
 class Snapshot:
     """A parsed snapshot: nodes, announced channels, parse bookkeeping."""
 
     nodes: tuple[NodeRecord, ...]
-    channels: tuple[ChannelRecord, ...]
+    channels: tuple[GraphChannel, ...]
     timestamp: datetime.date | None = None
     skipped_records: int = 0
 
@@ -210,14 +193,23 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class GraphChannel:
-    """A usable channel inside a :class:`NetworkGraph` (both policies known)."""
+    """One channel, as a snapshot announces it and as a graph holds it.
+
+    ``policy_a_to_b`` is the policy announced by ``endpoint_a`` and governs
+    traversals from a to b; likewise for ``policy_b_to_a``. In a
+    :class:`Snapshot` either may be None, when the snapshot has no
+    announcement for that direction, and ``slot_limit`` is None. A
+    :class:`NetworkGraph` holds only channels with both policies, neither of
+    them disabled: :func:`build_graph` keeps those records as they are, and
+    :func:`apply_slot_limits` attaches ``slot_limit``.
+    """
 
     channel_id: str
     endpoint_a: str
     endpoint_b: str
     capacity_sat: int
-    policy_a_to_b: ChannelPolicy
-    policy_b_to_a: ChannelPolicy
+    policy_a_to_b: ChannelPolicy | None
+    policy_b_to_a: ChannelPolicy | None
     slot_limit: int | None = None
 
     def other_endpoint(self, node_id: str) -> str:
@@ -402,7 +394,7 @@ def parse_snapshot(raw: str | bytes | IO) -> Snapshot:
         except (TypeError, KeyError, ValueError):
             skipped += 1
 
-    channels: list[ChannelRecord] = []
+    channels: list[GraphChannel] = []
     seen_channels: set[str] = set()
     policies: dict[tuple, ChannelPolicy] = {}
     for entry in raw_edges:
@@ -416,7 +408,7 @@ def parse_snapshot(raw: str | bytes | IO) -> Snapshot:
             if node1 not in seen_nodes or node2 not in seen_nodes:
                 raise ValueError
             channels.append(
-                ChannelRecord(
+                GraphChannel(
                     channel_id=channel_id,
                     endpoint_a=node1,
                     endpoint_b=node2,
@@ -480,7 +472,7 @@ def serialize_snapshot(snapshot: Snapshot) -> str:
 
 
 def build_graph(snapshot: Snapshot) -> NetworkGraph:
-    """Build the usable-channel graph.
+    """Build the usable-channel graph from the snapshot's own records.
 
     Excludes channels with either direction undisclosed (null policy) or
     either direction disabled; the counts of both exclusions are kept on the
@@ -492,20 +484,10 @@ def build_graph(snapshot: Snapshot) -> NetworkGraph:
     for ch in snapshot.channels:
         if ch.policy_a_to_b is None or ch.policy_b_to_a is None:
             dropped_missing += 1
-            continue
-        if ch.policy_a_to_b.disabled or ch.policy_b_to_a.disabled:
+        elif ch.policy_a_to_b.disabled or ch.policy_b_to_a.disabled:
             dropped_disabled += 1
-            continue
-        usable.append(
-            GraphChannel(
-                channel_id=ch.channel_id,
-                endpoint_a=ch.endpoint_a,
-                endpoint_b=ch.endpoint_b,
-                capacity_sat=ch.capacity_sat,
-                policy_a_to_b=ch.policy_a_to_b,
-                policy_b_to_a=ch.policy_b_to_a,
-            )
-        )
+        else:
+            usable.append(ch)
     graph = NetworkGraph(
         usable, dropped_disabled=dropped_disabled, dropped_missing_policy=dropped_missing
     )

@@ -218,6 +218,27 @@ def test_build_graph_drops_disabled_and_unannounced_channels():
     assert graph.dropped_disabled == 1
 
 
+def test_build_graph_keeps_the_snapshot_records():
+    lnd, off = netgen.policy_json(LND), netgen.policy_json(LND, disabled=True)
+    channels = [
+        netgen.channel_json("c3", "x", "y", 700_000, lnd, lnd),
+        netgen.channel_json("c1", "y", "z", 500_000, lnd, None),
+        netgen.channel_json("c4", "x", "z", 600_000, off, lnd),
+        netgen.channel_json("c2", "z", "x", 800_000, lnd, lnd),
+        netgen.channel_json("c5", "y", "x", 900_000, None, None),
+        netgen.channel_json("c0", "y", "z", 400_000, lnd, off),
+    ]
+    snapshot = parse_snapshot(netgen.snapshot_json(["x", "y", "z"], channels))
+    records = {ch.channel_id: ch for ch in snapshot.channels}
+    graph = build_graph(snapshot)
+    assert graph.channel_ids == ("c2", "c3")
+    for ch in graph.channels():
+        assert ch is records[ch.channel_id]
+        assert ch.slot_limit is None
+    assert graph.dropped_missing_policy == 2
+    assert graph.dropped_disabled == 2
+
+
 def test_graph_accessors_and_subgraph():
     snapshot = netgen.random_snapshot(10, 5, seed=5)
     graph = build_graph(snapshot)
