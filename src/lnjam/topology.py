@@ -323,6 +323,17 @@ def _int_field(value) -> int:
     raise ValueError(f"expected an integer or a string of digits, got {value!r}")
 
 
+def _channel_id(value) -> str:
+    """A snapshot channel id: a non-empty JSON string, or a non-negative JSON
+    integer that is not a bool, kept as its decimal string. Anything else
+    raises ``ValueError``."""
+    if type(value) is str and value:
+        return value
+    if type(value) is int and value >= 0:
+        return str(value)
+    raise ValueError(f"expected a non-empty string or integer channel id, got {value!r}")
+
+
 def _parse_policy(
     raw, channel_id: str, interned: dict[tuple, ChannelPolicy]
 ) -> ChannelPolicy | None:
@@ -362,9 +373,11 @@ def parse_snapshot(raw: str | bytes | IO) -> Snapshot:
     Records with malformed or missing required fields are skipped and counted
     in ``Snapshot.skipped_records``; unknown fields are ignored. An integer
     field takes a JSON integer or a string of ASCII digits, ``disabled`` a
-    JSON boolean. Structural problems (not JSON, missing top-level arrays)
-    raise :class:`SnapshotParseError`. Records announcing equal policies share
-    one :class:`ChannelPolicy`.
+    JSON boolean, a node's optional ``alias`` a JSON string. A channel id
+    takes a non-empty JSON string or a non-negative JSON integer, which is
+    kept as its decimal string. Structural problems (not JSON, missing
+    top-level arrays) raise :class:`SnapshotParseError`. Records announcing
+    equal policies share one :class:`ChannelPolicy`.
     """
     if hasattr(raw, "read"):
         raw = raw.read()
@@ -387,9 +400,12 @@ def parse_snapshot(raw: str | bytes | IO) -> Snapshot:
     for entry in raw_nodes:
         try:
             node_id = entry["pub_key"]
+            alias = entry.get("alias", "")
             if not isinstance(node_id, str) or not node_id or node_id in seen_nodes:
                 raise ValueError
-            nodes.append(NodeRecord(node_id=node_id, alias=str(entry.get("alias", ""))))
+            if type(alias) is not str:
+                raise ValueError
+            nodes.append(NodeRecord(node_id=node_id, alias=alias))
             seen_nodes.add(node_id)
         except (TypeError, KeyError, ValueError):
             skipped += 1
@@ -399,7 +415,7 @@ def parse_snapshot(raw: str | bytes | IO) -> Snapshot:
     policies: dict[tuple, ChannelPolicy] = {}
     for entry in raw_edges:
         try:
-            channel_id = str(entry["channel_id"])
+            channel_id = _channel_id(entry["channel_id"])
             node1 = entry["node1_pub"]
             node2 = entry["node2_pub"]
             capacity = _int_field(entry["capacity"])

@@ -117,6 +117,39 @@ def test_malformed_policy_fields_skip_the_record(field, good, bad):
     assert snapshot.skipped_records == 1
 
 
+@pytest.mark.parametrize("bad", [None, 12.0, True, "", {"a": 1}, -12])
+def test_malformed_channel_id_skips_the_record(bad):
+    policy = netgen.policy_json(LND)
+    channels = [
+        netgen.channel_json("good", "x", "y", 500_000, policy, policy),
+        netgen.channel_json(bad, "x", "y", 500_000, policy, policy),
+    ]
+    snapshot = parse_snapshot(netgen.snapshot_json(["x", "y"], channels))
+    assert [c.channel_id for c in snapshot.channels] == ["good"]
+    assert snapshot.skipped_records == 1
+
+
+def test_an_integer_channel_id_reads_as_its_decimal_string():
+    policy = netgen.policy_json(LND)
+    channels = [
+        netgen.channel_json(cid, "x", "y", 500_000, policy, policy) for cid in (12, "12", 0)
+    ]
+    snapshot = parse_snapshot(netgen.snapshot_json(["x", "y"], channels))
+    # "12" repeats the id that 12 reads as.
+    assert [c.channel_id for c in snapshot.channels] == ["12", "0"]
+    assert snapshot.skipped_records == 1
+
+
+@pytest.mark.parametrize("bad", [None, 7, 7.0, False, ["z"]])
+def test_malformed_alias_skips_the_node(bad):
+    doc = json.loads(netgen.snapshot_json(["x", "y", "z"], []))
+    doc["nodes"][0]["alias"] = "alpha"
+    doc["nodes"][2]["alias"] = bad
+    snapshot = parse_snapshot(json.dumps(doc))
+    assert [(n.node_id, n.alias) for n in snapshot.nodes] == [("x", "alpha"), ("y", "")]
+    assert snapshot.skipped_records == 1
+
+
 @pytest.mark.parametrize("bad", [1000.7, 1000.0, True, "1e3", "-1000", None])
 def test_malformed_capacity_skips_the_record(bad):
     policy = netgen.policy_json(LND)
