@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .planner import MAX_ROUTE_CHANNELS, TAU_MIN_DEFAULT, check_tau_min
+from .planner import MAX_ROUTE_CHANNELS, TAU_MIN_DEFAULT, check_tau_min, json_number
 from .topology import (
     LOCKTIME_MAX,
     MAINNET_DEFAULTS,
@@ -138,25 +138,25 @@ class IsolationPlan:
             ChannelIsolation(
                 channel_id=c["channel_id"],
                 neighbor=c["neighbor"],
-                slot_limit=int(c["slot_limit"]),
-                max_traversals=int(c["max_traversals"]),
+                slot_limit=json_number(c, "slot_limit"),
+                max_traversals=json_number(c, "max_traversals"),
                 payments=tuple(
                     BackForthRoute(
-                        traversals=int(p["traversals"]),
-                        timeout_sum=int(p["timeout_sum"]),
-                        lock_duration=int(p["lock_duration"]),
+                        traversals=json_number(p, "traversals"),
+                        timeout_sum=json_number(p, "timeout_sum"),
+                        lock_duration=json_number(p, "lock_duration"),
                     )
                     for p in c["payments"]
                 ),
-                attacker_slots=int(c["attacker_slots"]),
+                attacker_slots=json_number(c, "attacker_slots"),
             )
             for c in doc["per_channel"]
         ]
         return cls(
             victim=doc["victim"],
-            tau_min=int(doc["tau_min"]),
+            tau_min=json_number(doc, "tau_min"),
             per_channel=per_channel,
-            entry_budget=int(doc["entry_budget"]),
+            entry_budget=json_number(doc, "entry_budget"),
         )
 
 

@@ -71,6 +71,16 @@ def check_tau_min(tau_min: int) -> None:
         raise InfeasibleConfigError(f"tau_min must be in (0, {LOCKTIME_MAX}), got {tau_min}")
 
 
+def json_number(doc: Mapping, name: str, integer: bool = True) -> int | float:
+    """``doc[name]`` as a plan file holds it: a JSON integer, or with
+    ``integer=False`` any JSON number. A bool is neither, and anything else
+    raises ``ValueError`` naming the field."""
+    value = doc[name]
+    if type(value) is int or (not integer and type(value) is float):
+        return value
+    raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+
+
 class WeightMode(Enum):
     CAPACITY = "capacity"
     BETWEENNESS = "betweenness"
@@ -230,23 +240,23 @@ class AttackPlan:
                 hops=tuple(
                     RouteHop(h["channel_id"], h["from"], h["to"]) for h in r["hops"]
                 ),
-                timeout_sum=int(r["timeout_sum"]),
-                lock_duration=int(r["lock_duration"]),
-                weight=float(r["weight"]),
-                slot_class=int(r["slot_class"]),
-                capacity_sat=int(r["capacity_sat"]),
+                timeout_sum=json_number(r, "timeout_sum"),
+                lock_duration=json_number(r, "lock_duration"),
+                weight=float(json_number(r, "weight", integer=False)),
+                slot_class=json_number(r, "slot_class"),
+                capacity_sat=json_number(r, "capacity_sat"),
                 payment_amount_msat=(
                     None
                     if r.get("payment_amount_msat") is None
-                    else int(r["payment_amount_msat"])
+                    else json_number(r, "payment_amount_msat")
                 ),
             )
             for r in doc["routes"]
         ]
         return cls(
             routes=routes,
-            total_capacity_sat=int(doc["total_capacity_sat"]),
-            tau_min=int(doc["tau_min"]),
+            total_capacity_sat=json_number(doc, "total_capacity_sat"),
+            tau_min=json_number(doc, "tau_min"),
             uncovered_channel_ids=tuple(doc.get("uncovered_channel_ids", ())),
         )
 

@@ -262,10 +262,21 @@ def test_verify_plan_rejects_malformed_input(snapshot_file, tmp_path, capsys):
         edited(isolation, lambda d: d.update(entry_budget=-3)),
         # A victim outside the snapshot, even one with no channels to check.
         edited(isolation, lambda d: d.update(victim="ghost", per_channel=[])),
+        # An integer field takes a JSON integer, not a float, bool or string.
+        edited(network, lambda d: d["routes"][0].update(slot_class=482.9)),
+        edited(network, lambda d: d["routes"][0].update(slot_class=True)),
+        edited(network, lambda d: d["routes"][0].update(slot_class="483")),
+        edited(network, lambda d: d["routes"][0].update(timeout_sum=40.5)),
+        edited(network, lambda d: d["routes"][0].update(lock_duration="1976")),
+        edited(network, lambda d: d["routes"][0].update(payment_amount_msat=1.5)),
+        edited(network, lambda d: d["routes"][0].update(weight=True)),
+        edited(isolation, lambda d: d["per_channel"][0]["payments"][0].update(traversals=17.5)),
     ):
         assert verify(doc) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 16
+    assert err.count("error:") == 24
+    assert err.count("must be an integer, got") == 8
+    assert err.count("weight must be a number, got True") == 1
     assert err.count("outside [1, 18]") == 2
     assert err.count("outside [1, 483]") == 4
     assert err.count("victim node 'ghost' not in snapshot") == 1
