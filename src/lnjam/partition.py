@@ -351,6 +351,55 @@ def kernighan_lin_cut(graph: NetworkGraph) -> CutResult:
     return _orient_sides(graph, side_a, side_b)
 
 
+def _locked_fractions(
+    graph: NetworkGraph, routes: list[planner.AttackRoute]
+) -> list[float]:
+    """Connected-pairs fraction of ``graph`` after locking each prefix of
+    ``routes``, over all of its nodes.
+
+    One reverse union-find pass: join every channel on no route, then add
+    the routes back from last to first. The count of connected ordered
+    pairs, the sum of size * (size - 1) over components, stays an exact
+    integer (a merge of sizes a and b adds 2ab), so each fraction equals
+    :func:`connected_pairs_fraction` on the graph without the locked
+    channels.
+    """
+    nodes = graph.nodes
+    n = len(nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    parent = list(range(n))
+    size = [1] * n
+    pairs = 0
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def join(channel_id: str) -> None:
+        nonlocal pairs
+        ch = graph.channel(channel_id)
+        a, b = find(index[ch.endpoint_a]), find(index[ch.endpoint_b])
+        if a != b:
+            pairs += 2 * size[a] * size[b]
+            if size[a] < size[b]:
+                a, b = b, a
+            parent[b] = a
+            size[a] += size[b]
+
+    locked = {cid for r in routes for cid in r.channel_ids}
+    for cid in graph.channel_ids:
+        if cid not in locked:
+            join(cid)
+    fractions = []
+    for route in reversed(routes):
+        fractions.append(pairs / (n * (n - 1)))
+        for cid in route.channel_ids:
+            join(cid)
+    return fractions[::-1]
+
+
 def plan_disconnection(
     graph: NetworkGraph,
     labels: Mapping[str, ImplLabel],
@@ -366,7 +415,9 @@ def plan_disconnection(
     cut of the largest component, plan its channels with the same planner
     in the budget left, and recurse on the largest remaining component
     while budget lasts. The report's curve gives the connected-pairs
-    fraction after each route's channels drop out.
+    fraction after each route's channels drop out. A budgeted plan that
+    leaves the fraction at its baseline logs a warning: a spectral or KL
+    one names the cut that did not fit, and a betweenness one its budget.
     """
     if not isinstance(method, DisconnectionMethod):
         raise ValueError(f"unknown disconnection method {method!r}")
@@ -375,7 +426,6 @@ def plan_disconnection(
             f"budget of {budget_channels} attacker channels is negative"
         )
     graph = apply_slot_limits(graph, labels, defaults)
-    universe = graph.nodes
     baseline = connected_pairs_fraction(graph)
     cut = None  # the last cut a spectral or KL plan tried to lock
 
@@ -409,20 +459,23 @@ def plan_disconnection(
             )
     plan = planner.AttackPlan.covering(graph, routes, config.tau_min)
 
-    curve = [(0, baseline)]
-    locked: set[str] = set()
-    for i, route in enumerate(plan.routes, start=1):
-        locked.update(route.channel_ids)
-        frac = connected_pairs_fraction(graph.without_channels(locked), universe)
-        curve.append((2 * i, frac))
-    if cut is not None and budget_channels is not None and curve[-1][1] == baseline:
-        logger.warning(
-            "%s plan disconnects nothing: the %d-channel cut does not fit a"
-            " budget of %d attacker channels",
-            method.value,
-            cut.cut_size,
-            budget_channels,
-        )
+    fractions = _locked_fractions(graph, plan.routes)
+    curve = [(0, baseline)] + [(2 * i, f) for i, f in enumerate(fractions, start=1)]
+    if budget_channels is not None and curve[-1][1] == baseline:
+        if cut is not None:
+            logger.warning(
+                "%s plan disconnects nothing: the %d-channel cut does not fit a"
+                " budget of %d attacker channels",
+                method.value,
+                cut.cut_size,
+                budget_channels,
+            )
+        elif method is DisconnectionMethod.GREEDY_BETWEENNESS and budget_channels >= 2:
+            logger.warning(
+                "%s plan disconnects nothing under a budget of %d attacker channels",
+                method.value,
+                budget_channels,
+            )
     logger.info(
         "%s: %d routes, fraction %.4f -> %.4f",
         method.value,

@@ -18,9 +18,12 @@ keeps only its ``k`` heaviest routes stops early. Every later route starts at
 a seed no heavier than the next one and holds at most ``max_route_channels``
 channels, none heavier than that seed. So once ``max_route_channels`` times
 the next seed's weight is strictly below the ``k``-th heaviest route so far,
-no later route can be kept, and planning stops. Betweenness weights are
-recomputed on the residual graph, where a weight can rise, so that mode
-plans the whole graph.
+no later route can be kept, and planning stops.
+
+Betweenness weights are recomputed on the residual graph before each route,
+where a weight can rise, so no seed bounds a later route. A plan that keeps
+``k`` routes instead builds only the first ``k`` greedy routes, each weighed
+on the residual graph without the routes before it.
 """
 
 from __future__ import annotations
@@ -297,11 +300,13 @@ def choose_routes(
         config: locktime and ordering knobs.
         keep: how many of the heaviest routes the caller will keep; None
             means all. Capacity mode stops early by the rule in the module
-            docstring; betweenness mode ignores it.
+            docstring; betweenness mode stops after ``keep`` routes.
 
     Returns:
-        Routes in selection order (heaviest seed first). With ``keep``, the
-        ``keep`` heaviest routes of the full partition are among them.
+        Routes in selection order (heaviest seed first). With ``keep`` and
+        capacity weights, the ``keep`` heaviest routes of the full partition
+        are among them; with betweenness weights, they are the first ``keep``
+        routes of the full partition.
     """
     if keep is not None and keep < 1:
         raise InfeasibleConfigError(f"cannot keep {keep} routes")
@@ -337,6 +342,8 @@ def choose_routes(
     routes: list[AttackRoute] = []
     while remaining:
         if recompute:
+            if len(routes) == keep:
+                break
             w = _channel_weights(graph.subgraph(remaining), config)
             seed_id = min(remaining, key=seed_key)
         else:
@@ -420,7 +427,11 @@ def plan_network_attack(
     seed's weight is strictly below its ``k``-th heaviest route so far (see
     :func:`choose_routes`). No later route of that class could reach the
     top ``k``, so the merged, sorted and truncated plan is the same as from
-    a full partition.
+    a full partition. With betweenness weights each class builds only its
+    first ``k`` greedy routes, each weighed on that class's residual graph
+    without its earlier routes, and the plan keeps the ``k`` heaviest of
+    them. Unlike with capacity weights, that need not be the truncated
+    unbudgeted plan: a later route of a class can outweigh its first ``k``.
 
     Args:
         budget_channels: attacker channels available; None means unlimited.

@@ -20,8 +20,15 @@ from lnjam.partition import (
     kernighan_lin_cut,
     plan_disconnection,
 )
+from lnjam.inference import tag_nodes
 from lnjam.planner import InfeasibleConfigError, PlannerConfig, WeightMode
-from lnjam.topology import MAINNET_DEFAULTS, NetworkGraph, build_graph, parse_snapshot
+from lnjam.topology import (
+    MAINNET_DEFAULTS,
+    NetworkGraph,
+    apply_slot_limits,
+    build_graph,
+    parse_snapshot,
+)
 
 import netgen
 
@@ -517,3 +524,54 @@ def test_plans_that_cut_nothing_log_a_warning(mixed_mesh, caplog):
         else:
             assert report.curve[-1][1] < report.curve[0][1]
             assert warnings == []
+
+    # One channel off a ring leaves a path, so a betweenness plan of one
+    # one-channel route disconnects nothing.
+    ring = netgen.ring_snapshot()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="lnjam.partition"):
+        report, plan = plan_disconnection(
+            build_graph(ring), tag_nodes(ring), MAINNET_DEFAULTS,
+            PlannerConfig(max_route_channels=1), DisconnectionMethod.GREEDY_BETWEENNESS,
+            budget_channels=2,
+        )
+    assert len(plan.routes) == 1
+    assert report.curve[-1][1] == report.curve[0][1]
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+        "betweenness plan disconnects nothing under a budget of 2 attacker channels"
+    ]
+
+
+def _rebuilt_curve(graph, plan):
+    """The curve from one graph rebuild and component scan per route."""
+    curve = [(0, connected_pairs_fraction(graph))]
+    locked = set()
+    for i, route in enumerate(plan.routes, start=1):
+        locked.update(route.channel_ids)
+        curve.append((2 * i, connected_pairs_fraction(graph.without_channels(locked), graph.nodes)))
+    return curve
+
+
+@settings(max_examples=20)
+@given(
+    n_nodes=st.integers(2, 40),
+    extra=st.integers(0, 40),
+    seed=st.integers(0, 10_000),
+    mixed=st.booleans(),
+    max_route_channels=st.integers(1, 18),
+    budget=st.none() | st.integers(0, 30),
+)
+def test_curve_equals_the_per_route_rebuild(
+    n_nodes, extra, seed, mixed, max_route_channels, budget
+):
+    snapshot = netgen.random_snapshot(
+        n_nodes, extra, seed, impl_names=netgen.IMPL_NAMES if mixed else ("lnd",)
+    )
+    graph, labels = build_graph(snapshot), tag_nodes(snapshot)
+    limited = apply_slot_limits(graph, labels, MAINNET_DEFAULTS)
+    config = PlannerConfig(max_route_channels=max_route_channels)
+    for method in DisconnectionMethod:
+        report, plan = plan_disconnection(
+            graph, labels, MAINNET_DEFAULTS, config, method, budget
+        )
+        assert report.curve == _rebuilt_curve(limited, plan), method

@@ -5,7 +5,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from lnjam import planner
+from lnjam import partition, planner
+from lnjam.partition import edge_betweenness
 from lnjam.planner import (
     AttackPlan,
     InfeasibleConfigError,
@@ -27,7 +28,7 @@ from lnjam.topology import (
     build_graph,
     parse_snapshot,
 )
-from lnjam.inference import tag_nodes
+from lnjam.inference import split_by_slot_class, tag_nodes
 
 import netgen
 
@@ -358,11 +359,41 @@ def test_budgeted_capacity_plan_stops_early(lnd_mesh):
 
 
 @pytest.mark.parametrize("fixture", ["barbell", "mixed_mesh"])
-def test_budgeted_betweenness_plan_is_the_truncated_full_plan(fixture, request):
+def test_budgeted_betweenness_plan_keeps_the_heaviest_first_routes(fixture, request):
+    # Each slot class builds its first k greedy routes, each weighed on the
+    # residual graph without the class's earlier routes; the plan keeps the
+    # k heaviest of them.
     _, graph, labels = request.getfixturevalue(fixture)
     config = PlannerConfig(weight_mode=WeightMode.BETWEENNESS)
-    full = plan_network_attack(graph, labels, MAINNET_DEFAULTS, config)
+    limited = apply_slot_limits(graph, labels, MAINNET_DEFAULTS)
+    per_class = [choose_routes(sub, config) for sub in split_by_slot_class(limited)]
     for budget in (2, 5, 8):
+        k = budget // 2
+        first = sorted(
+            (r for routes in per_class for r in routes[:k]),
+            key=lambda r: (-r.weight, r.hops[0].channel_id),
+        )
+        expected = AttackPlan.covering(limited, first[:k], config.tau_min)
         capped = plan_network_attack(graph, labels, MAINNET_DEFAULTS, config, budget)
-        truncated = AttackPlan.covering(graph, full.routes[: budget // 2], config.tau_min)
-        assert capped.to_json_dict() == truncated.to_json_dict()
+        assert capped.to_json_dict() == expected.to_json_dict()
+
+
+@pytest.mark.parametrize("fixture", ["barbell", "mixed_mesh"])
+def test_budgeted_betweenness_plan_weighs_at_most_k_routes_per_class(
+    fixture, request, monkeypatch
+):
+    _, graph, labels = request.getfixturevalue(fixture)
+    config = PlannerConfig(weight_mode=WeightMode.BETWEENNESS)
+    classes = len(split_by_slot_class(apply_slot_limits(graph, labels, MAINNET_DEFAULTS)))
+    calls = []
+
+    def counted(residual):
+        calls.append(len(residual))
+        return edge_betweenness(residual)
+
+    # The planner imports edge_betweenness from the module at each call.
+    monkeypatch.setattr(partition, "edge_betweenness", counted)
+    for budget in (2, 5, 8):
+        calls.clear()
+        plan_network_attack(graph, labels, MAINNET_DEFAULTS, config, budget)
+        assert 0 < len(calls) <= classes * (budget // 2)
