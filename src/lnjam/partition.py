@@ -415,9 +415,9 @@ def plan_disconnection(
     cut of the largest component, plan its channels with the same planner
     in the budget left, and recurse on the largest remaining component
     while budget lasts. The report's curve gives the connected-pairs
-    fraction after each route's channels drop out. A budgeted plan that
-    leaves the fraction at its baseline logs a warning: a spectral or KL
-    one names the cut that did not fit, and a betweenness one its budget.
+    fraction after each route's channels drop out. A plan under a budget
+    of at least 2 attacker channels that leaves the fraction at its
+    baseline logs a warning, which names the cut if one did not fit.
     """
     if not isinstance(method, DisconnectionMethod):
         raise ValueError(f"unknown disconnection method {method!r}")
@@ -461,7 +461,7 @@ def plan_disconnection(
 
     fractions = _locked_fractions(graph, plan.routes)
     curve = [(0, baseline)] + [(2 * i, f) for i, f in enumerate(fractions, start=1)]
-    if budget_channels is not None and curve[-1][1] == baseline:
+    if budget_channels is not None and budget_channels >= 2 and curve[-1][1] == baseline:
         if cut is not None:
             logger.warning(
                 "%s plan disconnects nothing: the %d-channel cut does not fit a"
@@ -470,7 +470,7 @@ def plan_disconnection(
                 cut.cut_size,
                 budget_channels,
             )
-        elif method is DisconnectionMethod.GREEDY_BETWEENNESS and budget_channels >= 2:
+        else:
             logger.warning(
                 "%s plan disconnects nothing under a budget of %d attacker channels",
                 method.value,

@@ -548,7 +548,8 @@ def _rebuilt_curve(graph, plan):
     locked = set()
     for i, route in enumerate(plan.routes, start=1):
         locked.update(route.channel_ids)
-        curve.append((2 * i, connected_pairs_fraction(graph.without_channels(locked), graph.nodes)))
+        residual = graph.without_channels(locked)
+        curve.append((2 * i, connected_pairs_fraction(residual, graph.nodes)))
     return curve
 
 
