@@ -33,7 +33,10 @@ logger = logging.getLogger(__name__)
 SIGN_EPSILON = 1e-10
 
 # Most (source, node) cells in one block of edge_betweenness sources: 20
-# sources at 300 nodes. Larger blocks cost fewer numpy calls but more memory.
+# sources at 300 nodes, one at 5,000. A block's levels are expanded together,
+# so each level's working set grows with the block; past about this size it
+# spills out of cache and a call gets slower, though it makes fewer numpy
+# calls. No size was faster than this one at 300, 1,000 and 5,000 nodes.
 BETWEENNESS_BLOCK_CELLS = 6_000
 
 
@@ -138,8 +141,11 @@ def edge_betweenness(graph: NetworkGraph) -> dict[str, float]:
     - Discovery: a level expands every (source, node) cell of the frontier
       together. The frontier is in per-source BFS order and each row is
       sorted, so a new cell's first occurrence in the expansion is its
-      discovery, and the next frontier comes out in BFS order too. Path
-      counts sum a cell's parents in that order.
+      discovery. Each test on the expansion (edge from the level above,
+      edge to an unreached cell, first occurrence) gives the ascending
+      positions that pass it, and every gather through those positions
+      keeps the expansion's order. So the next frontier comes out in BFS
+      order too, and path counts sum a cell's parents in that order.
     - Dependency: the same expansion finds each frontier cell's parents,
       grouped by child in BFS order. Walking the levels backwards over
       those groups reversed, each parent receives its children's
@@ -148,27 +154,28 @@ def edge_betweenness(graph: NetworkGraph) -> dict[str, float]:
       one source row at a time in ascending source order, then halved.
 
     A block holds at most ``BETWEENNESS_BLOCK_CELLS`` cells, sources times
-    nodes, and at least one source; that bounds its arrays.
+    nodes, and at least one source; that bounds each level's working set.
     """
     if len(graph) == 0:
         raise ValueError("betweenness of an empty graph")
     nodes = graph.nodes
     n = len(nodes)
     index = {node: i for i, node in enumerate(nodes)}
-    # One collapsed edge per node pair, numbered in order of first channel.
-    edge_ids: dict[tuple[int, int], int] = {}
-    channel_edge = [
-        edge_ids.setdefault(
-            tuple(sorted((index[ch.endpoint_a], index[ch.endpoint_b]))), len(edge_ids)
-        )
-        for ch in graph.channels()
-    ]
-    m = len(edge_ids)
-    pairs = np.array(list(edge_ids), dtype=np.int64)
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    ends = np.array(
+        [(index[ch.endpoint_a], index[ch.endpoint_b]) for ch in graph.channels()],
+        dtype=np.int64,
+    )
+    # One collapsed edge per node pair, numbered in order of (low, high) index.
+    keys, channel_edge = np.unique(
+        ends.min(axis=1) * n + ends.max(axis=1), return_inverse=True
+    )
+    m = len(keys)
+    rows = np.concatenate([keys // n, keys % n])
+    cols = np.concatenate([keys % n, keys // n])
     by_row = np.lexsort((cols, rows))
-    cols, edge_of = cols[by_row], np.tile(np.arange(m), 2)[by_row]
+    rows, cols, edge_of = rows[by_row], cols[by_row], np.tile(np.arange(m), 2)[by_row]
+    # A frontier cell plus its entry's step is the neighbouring cell.
+    step = cols - rows
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
 
@@ -190,19 +197,19 @@ def edge_betweenness(graph: NetworkGraph) -> dict[str, float]:
             deg = indptr[v + 1] - indptr[v]
             parent = np.repeat(frontier, deg)
             entry = np.arange(len(parent)) + np.repeat(indptr[v] - (np.cumsum(deg) - deg), deg)
-            peer = np.repeat(frontier - v, deg) + cols[entry]
+            peer = parent + step[entry]
             peer_dist = dist[peer]
             # Edges from the level above, grouped by child in BFS order.
-            up = peer_dist == depth - 1
+            up = (peer_dist == depth - 1).nonzero()[0]
             levels.append((peer[up], parent[up], edge_of[entry[up]]))
-            down = peer_dist == n
+            down = (peer_dist == n).nonzero()[0]
             child = peer[down]
             sigma += np.bincount(child, weights=sigma[parent[down]], minlength=b * n)
             # A new cell's first occurrence in the expansion is its discovery.
             order = np.arange(len(child))
             first_seen = np.full(b * n, len(child))
             np.minimum.at(first_seen, child, order)
-            frontier = child[first_seen[child] == order]
+            frontier = child[(first_seen[child] == order).nonzero()[0]]
             depth += 1
             dist[frontier] = depth
 

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import Phase, settings
 
@@ -17,6 +20,18 @@ settings.register_profile(
     phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
 )
 settings.load_profile("lnjam")
+
+BENCH_NETGEN = Path(__file__).resolve().parents[1] / "perfbench" / "netgen.py"
+
+
+@pytest.fixture(scope="session")
+def bench_netgen():
+    """The benchmark's snapshot generator, loaded by path: under its own
+    module name it would shadow the tests' ``netgen``."""
+    spec = importlib.util.spec_from_file_location("perfbench_netgen", BENCH_NETGEN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

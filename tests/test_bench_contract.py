@@ -75,12 +75,9 @@ def _run_py_literal(name):
 
 
 @pytest.mark.parametrize("workload", ["replay", "sweep", "partition"])
-def test_traced_workload_fires_its_spans(tracer, workload, tmp_path):
+def test_traced_workload_fires_its_spans(tracer, bench_netgen, workload, tmp_path):
     """The traced benchmark run fails when an expected span stops firing on
     its workload, or a simulator span fires on sweep or partition."""
-    spec = importlib.util.spec_from_file_location("perfbench_netgen", PERFBENCH / "netgen.py")
-    bench_netgen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_netgen)
     regions, cross_share = (2, 0.2) if workload == "partition" else (1, 1.0)
     snapshot = tmp_path / "snapshot.json"
     bench_netgen.write_snapshot(

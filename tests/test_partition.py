@@ -1,9 +1,11 @@
 """Connectivity metrics, betweenness, and the three partition methods."""
 
+import json
 import logging
 import math
 import random
 from collections import Counter, defaultdict, deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -285,6 +287,26 @@ def test_betweenness_equals_the_reference_loop(sizes, parallel, seed):
     graph = _components_with_parallel_channels(sizes, parallel, seed)
     n = graph.node_count
     assert n > BETWEENNESS_BLOCK_CELLS // n
+    scores = edge_betweenness(graph)
+    assert scores == reference_edge_betweenness(graph)
+    # One source per block, then all sources in one: no block may leak state
+    # into the next.
+    for cells in (1, n * n):
+        with mock.patch.object(partition, "BETWEENNESS_BLOCK_CELLS", cells):
+            assert edge_betweenness(graph) == scores
+
+
+def test_betweenness_equals_the_reference_loop_on_a_hub_heavy_graph(bench_netgen):
+    """The benchmark's partition graph, every eighth channel doubled: hubs
+    fan a frontier out wide, with many edges inside one level."""
+    doc = bench_netgen.generate(300, 4, 1, 2, 0.2)
+    doc["edges"] += [dict(e, channel_id=e["channel_id"] + "p") for e in doc["edges"][::8]]
+    graph = build_graph(parse_snapshot(json.dumps(doc)))
+    peers = defaultdict(set)
+    for ch in graph.channels():
+        peers[ch.endpoint_a].add(ch.endpoint_b)
+        peers[ch.endpoint_b].add(ch.endpoint_a)
+    assert sum(len(p) > 50 for p in peers.values()) >= 2
     assert edge_betweenness(graph) == reference_edge_betweenness(graph)
 
 

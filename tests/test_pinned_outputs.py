@@ -5,7 +5,9 @@ compared byte for byte: the four builtin scenarios' ``simulate --log`` event
 logs and step records, the verification reports of a network plan and
 ten isolation plans on one mixed-implementation snapshot whose small
 channels make some replays fail, and what set-up gives the CLI on another
-such snapshot (``ingest`` output, ``tag`` CSV body, ``attack-network`` plan).
+such snapshot (``ingest`` output, ``tag`` CSV body, ``attack-network`` plan),
+and the budget-20 betweenness disconnection of the benchmark's seed-1
+partition snapshot.
 """
 
 import hashlib
@@ -53,9 +55,22 @@ SETUP_OUTPUTS = {
     "attack-network": "395f3806f18c041e0a230cb29dcee3fb1f6c053a9d22e150f6859573c155c77e",
 }
 
+# attack-connectivity --method betweenness --budget 20 on the benchmark's
+# seed-1 partition snapshot: (CSV body sha256, plan file sha256), as the
+# benchmark computes its digests
+BETWEENNESS_OUTPUTS = (
+    "662804c43d7856c8f705c00eb7d47e8791e5215e98fe6b7f4e52dd5d619f894a",
+    "a5430f263bccf5c8fb33e3ad8c1b48bf7a26225038c17b213b38958c18224250",
+)
+
 
 def _sha256(data: str | bytes) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def _body(text: str) -> str:
+    """A CLI output without its comment lines."""
+    return "".join(line + "\n" for line in text.splitlines() if not line.startswith("#"))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -113,6 +128,15 @@ def test_setup_outputs_are_pinned(command, tmp_path):
         out = tmp_path / "plan.json"
         args += ["--plan-out", str(out)]
     assert main(args) == 0
-    lines = out.read_text().splitlines()
-    body = "".join(line + "\n" for line in lines if not line.startswith("#"))
-    assert _sha256(body) == SETUP_OUTPUTS[command]
+    assert _sha256(_body(out.read_text())) == SETUP_OUTPUTS[command]
+
+
+def test_betweenness_disconnection_outputs_are_pinned(bench_netgen, tmp_path):
+    snapshot = tmp_path / "graph.json"
+    bench_netgen.write_snapshot(str(snapshot), 300, 4, 1, 2, 0.2)
+    curve, plan = tmp_path / "betweenness.csv", tmp_path / "plan.json"
+    assert main([
+        "attack-connectivity", "--snapshot", str(snapshot), "--budget", "20",
+        "--method", "betweenness", "--output", str(curve), "--plan-out", str(plan),
+    ]) == 0
+    assert (_sha256(_body(curve.read_text())), _sha256(plan.read_text())) == BETWEENNESS_OUTPUTS
